@@ -119,7 +119,9 @@ def _build_backend(config: ClientConfig):
     if spec == "imap-smtp":
         return ImapSmtpTransport(MailAccountConfig.from_env())
     if spec.startswith("relay:"):
-        _, host, port = spec.split(":")
+        host, _, port = spec[len("relay:"):].rpartition(":")
+        if not host:
+            raise ValueError(f"relay transport needs relay:HOST:PORT, got {spec!r}")
         return RelayTransport(host, int(port))
     raise ValueError(f"unknown transport {spec!r}")
 

@@ -72,8 +72,9 @@ class PakeSession:
         self.sk: bytes | None = None
         self._pi = group.scalar_from_password(bytes(password), password_context(group))
         self._x = group.random_scalar(rng)
-        self._outbound_star: GroupElement | None = None
-        self._inbound_star: GroupElement | None = None
+        # encodings of X* and Y*: the identity element is None on secp256k1
+        self._outbound_star: bytes | None = None
+        self._inbound_star: bytes | None = None
 
     def __repr__(self) -> str:
         # deliberately omits x, pi and sk
@@ -93,10 +94,10 @@ class PakeSession:
         if self.phase is not Phase.CREATED:
             raise StateError(f"start() in phase {self.phase.value}")
         g = self.group
-        star = g.mul(g.exp(g.generator, self._x), g.exp(self._blind, self._pi))
+        star = g.encode(g.mul(g.exp(g.generator, self._x), g.exp(self._blind, self._pi)))
         self._outbound_star = star
         self.phase = Phase.STARTED
-        return g.encode(star)
+        return star
 
     def finish(self, inbound_message: bytes) -> bytes:
         """Consume the peer's blinded term and derive the session key sk."""
@@ -108,7 +109,7 @@ class PakeSession:
         except DecodeError:
             self.phase = Phase.FAILED
             raise
-        self._inbound_star = inbound
+        self._inbound_star = g.encode(inbound)
         K = g.exp(g.div(inbound, g.exp(self._peer_blind, self._pi)), self._x)
         h = hashlib.sha256()
         h.update(self.transcript())
@@ -122,14 +123,13 @@ class PakeSession:
         """Canonical (id_A, id_B, X*, Y*) bytes, initiator values in the A slots."""
         if self._outbound_star is None or self._inbound_star is None:
             raise StateError("transcript available only after both terms are known")
-        g = self.group
         if self.role is Role.INITIATOR:
             id_a, id_b = self.self_id, self.peer_id
             x_star, y_star = self._outbound_star, self._inbound_star
         else:
             id_a, id_b = self.peer_id, self.self_id
             x_star, y_star = self._inbound_star, self._outbound_star
-        return b"".join([_lp(id_a), _lp(id_b), _lp(g.encode(x_star)), _lp(g.encode(y_star))])
+        return b"".join([_lp(id_a), _lp(id_b), _lp(x_star), _lp(y_star)])
 
     def mark_confirmed(self) -> None:
         if self.phase is not Phase.KEYED:

@@ -82,6 +82,62 @@ def mac_tag(key: bytes, fpr_a: bytes, fpr_b: bytes, sid: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# secp256k1 by textbook affine formulas: one field inversion per addition,
+# plain double-and-add, no precomputation. Points are (x, y) tuples, None is
+# the point at infinity.
+# ---------------------------------------------------------------------------
+
+SECP_P = 2**256 - 2**32 - 977
+SECP_N = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141
+SECP_G = (0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798,
+          0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8)
+
+
+def secp_add(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    p = SECP_P
+    if a[0] == b[0] and (a[1] + b[1]) % p == 0:
+        return None
+    if a == b:
+        lam = 3 * a[0] * a[0] * pow(2 * a[1], p - 2, p) % p
+    else:
+        lam = (b[1] - a[1]) * pow(b[0] - a[0], p - 2, p) % p
+    x = (lam * lam - a[0] - b[0]) % p
+    return (x, (lam * (a[0] - x) - a[1]) % p)
+
+
+def secp_mul(k: int, point):
+    result = None
+    for bit in bin(k % SECP_N)[2:]:
+        result = secp_add(result, result)
+        if bit == "1":
+            result = secp_add(result, point)
+    return result
+
+
+def secp_neg(point):
+    return None if point is None else (point[0], (-point[1]) % SECP_P)
+
+
+def secp_encode(point) -> bytes:
+    if point is None:
+        return bytes(33)
+    return bytes([2 + point[1] % 2]) + point[0].to_bytes(32, "big")
+
+
+def secp_decode(data: bytes):
+    if data == bytes(33):
+        return None
+    x = int.from_bytes(data[1:], "big")
+    y = pow(x ** 3 + 7, (SECP_P + 1) // 4, SECP_P)
+    assert (y * y - x ** 3 - 7) % SECP_P == 0 and data[0] in (2, 3)
+    return (x, y if y % 2 == data[0] % 2 else SECP_P - y)
+
+
+# ---------------------------------------------------------------------------
 # Partial-preimage cost model
 # ---------------------------------------------------------------------------
 

@@ -51,6 +51,21 @@ def test_config_rejects_bad_syntax(tmp_path):
         ClientConfig.load(str(path), {})
 
 
+@pytest.mark.parametrize("spec, host, port", [
+    ("relay:127.0.0.1:7000", "127.0.0.1", 7000),
+    ("relay:::1:7000", "::1", 7000),
+    ("relay:relay.example:25", "relay.example", 25),
+])
+def test_relay_spec_host_and_port(spec, host, port):
+    backend = cli._build_backend(ClientConfig(transport=spec))
+    assert (backend.host, backend.port) == (host, port)
+
+
+def test_relay_spec_without_host_rejected():
+    with pytest.raises(ValueError):
+        cli._build_backend(ClientConfig(transport="relay:7000"))
+
+
 # ---------------------------------------------------------------------------
 # Commands via main(argv)
 # ---------------------------------------------------------------------------

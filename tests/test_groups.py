@@ -1,16 +1,18 @@
 import secrets
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from pakemail import groups
 from pakemail.groups import DecodeError, get_group
 
 import oracles
 
 
 def test_toy_constants_match_independent_derivation(toy):
-    assert toy.M.data[0] == oracles.TOY_M
-    assert toy.N.data[0] == oracles.TOY_N
+    assert toy.encode(toy.M)[0] == oracles.TOY_M
+    assert toy.encode(toy.N)[0] == oracles.TOY_N
 
 
 @pytest.mark.parametrize("group_name", ["toy", "production"])
@@ -28,13 +30,13 @@ def test_exp_zero_is_identity(toy, production):
 
 def test_toy_exp_pencil_arithmetic(toy):
     # 2^3 mod 23 = 8
-    assert toy.exp(toy.generator, 3).data[0] == 8
+    assert toy.encode(toy.exp(toy.generator, 3))[0] == 8
 
 
 def test_toy_mul_pencil_arithmetic(toy):
     a = toy.decode(bytes([8]))
     b = toy.decode(bytes([2]))
-    assert toy.mul(a, b).data[0] == 16
+    assert toy.encode(toy.mul(a, b))[0] == 16
 
 
 def test_mul_identity(toy, production):
@@ -144,3 +146,58 @@ def test_production_constants_have_unknown_dlog_construction(production):
 def test_scalar_bytes_width(toy, production):
     assert len(toy.scalar_bytes(5)) == 1
     assert len(production.scalar_bytes(5)) == 32
+
+
+def _oracle_point(production, el):
+    return oracles.secp_decode(production.encode(el))
+
+
+def test_production_exp_matches_affine_oracle(production):
+    g, n = production, production.order
+    assert g.encode(g.generator) == oracles.secp_encode(oracles.SECP_G)
+    P = g.decode(oracles.secp_encode(oracles.secp_mul(secrets.randbelow(n), oracles.SECP_G)))
+    scalars = [0, 1, 2, n - 1, n - 2, n // 2, 2**255] + [secrets.randbelow(n) for _ in range(4)]
+    for base in (g.generator, g.M, g.N, P):
+        ref = _oracle_point(g, base)
+        for k in scalars:
+            assert g.encode(g.exp(base, k)) == oracles.secp_encode(oracles.secp_mul(k, ref)), (base, k)
+
+
+def test_production_mul_div_match_affine_oracle(production):
+    g = production
+    P, Q = (g.exp(g.generator, secrets.randbelow(g.order)) for _ in range(2))
+    for a, b in [(P, Q), (P, P), (P, g.identity), (g.identity, P), (g.identity, g.identity),
+                 (P, g.div(g.identity, P))]:
+        ra, rb = _oracle_point(g, a), _oracle_point(g, b)
+        assert g.encode(g.mul(a, b)) == oracles.secp_encode(oracles.secp_add(ra, rb))
+        assert g.encode(g.div(a, b)) == oracles.secp_encode(oracles.secp_add(ra, oracles.secp_neg(rb)))
+    assert g.div(P, P) == g.identity
+    assert g.mul(P, P) == g.exp(P, 2)
+
+
+def test_production_exp_schedule_independent_of_scalar(production, monkeypatch):
+    """Point doublings and additions per exponentiation do not depend on the
+    scalar, for the password-blinding bases M, N and for a decoded point."""
+    g = production
+    P = g.decode(g.encode(g.exp(g.generator, 0x1234567)))
+    scalars = [1, 2**200,                                  # Hamming weight 1, odd and even
+               int("01" * 128, 2), int("10" * 128, 2),     # weight 128
+               2**255 - 1, 2**256 - 2 - 2**200]            # weight 255 and 254
+    for base in (g.M, g.N):
+        g.exp(base, 1)  # tables are built once per process, outside the count
+    counts = Counter()
+    for name in ("_ec_jdbl", "_ec_jadd"):
+        def counted(*args, _real=getattr(groups, name), _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(groups, name, counted)
+
+    def schedule(base, k):
+        counts.clear()
+        g.exp(base, k)
+        return counts["_ec_jdbl"], counts["_ec_jadd"]
+
+    for bases in ((g.M, g.N), (P,)):
+        seen = {schedule(base, k) for base in bases for k in scalars}
+        assert len(seen) == 1, seen
+        assert min(seen.pop()) > 0

@@ -13,7 +13,7 @@ from pakemail.manager import (
     SessionManager,
     assign_role,
 )
-from pakemail.pake import Role
+from pakemail.pake import Role, password_context
 from pakemail.transport import LoopbackTransport, TransportEnvelope
 
 IDA, IDB = b"a@x", b"b@x"
@@ -248,7 +248,15 @@ def test_chained_reauth_requires_stored_key(tmp_path, toy):
 def test_diverged_chain_falls_back_to_manual(tmp_path, toy):
     ma, mb = make_pair(tmp_path, toy)
     run_both(ma, mb, b"pw", b"pw")
-    mb.keystore.peer(IDA).chained_key = bytes(32)  # simulate divergence
+
+    def toy_pi(key):
+        return toy.scalar_from_password(key.hex().encode(), password_context(toy))
+
+    # simulate divergence; in the 11-element toy group a key chosen blindly
+    # would give the same pi as the real chain one time in 11
+    real = mb.keystore.peer(IDA).chained_key
+    mb.keystore.peer(IDA).chained_key = next(
+        key for key in (bytes([i]) * 32 for i in range(256)) if toy_pi(key) != toy_pi(real))
 
     results = {}
     ta = threading.Thread(target=lambda: results.update(

@@ -130,3 +130,16 @@ def test_secrets_never_exposed(toy):
 def test_forced_randomness_refused_in_production(production):
     with pytest.raises(ValueError):
         pake.start(Role.INITIATOR, IDA, IDB, b"pw", production, rng=fixed(3))
+
+
+def test_identity_share_is_not_taken_for_a_missing_one(production):
+    # the secp256k1 identity is None in native form; finish must still see
+    # that both shares are known, or reject the share as undecodable
+    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", production)
+    try:
+        sk = s.finish(production.encode(production.identity))
+    except DecodeError:
+        assert s.phase is Phase.FAILED
+    else:
+        assert len(sk) == 32 and s.phase is Phase.KEYED
+        assert s.transcript().endswith(production.encode(production.identity))

@@ -108,8 +108,10 @@ def test_ordinary_email_is_not_pakemail():
 
 def test_bad_flow_in_subject_rejected():
     e = env()
-    raw = encode_email(e).replace(
-        f" {e.flow}".encode(), b" 7", 1)
+    subject = f"Subject: PAKEMAIL {e.exchange_id.hex()} {e.flow}".encode()
+    raw = encode_email(e)
+    assert raw.count(subject) == 1
+    raw = raw.replace(subject, subject[:-1] + b"7")
     with pytest.raises(EnvelopeError):
         decode_email(raw)
 
