@@ -15,7 +15,9 @@ extremely close to 1.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,35 +41,40 @@ _SYLLABLES = ["ba", "de", "fi", "go", "hu", "ka", "le", "mi",
               "no", "pu", "ra", "se", "ti", "vo", "wu", "za"]
 
 
+_SYNTHETIC: dict[type, "Wordlist"] = {}
+_SYNTHETIC_LOCK = threading.Lock()
+
+
 class Wordlist:
     """Ordered dictionary of exactly 2^16 distinct words."""
 
     def __init__(self, words):
-        words = list(words)
-        if len(words) != WORDLIST_SIZE:
-            raise AnalysisError(f"wordlist must have {WORDLIST_SIZE} entries, got {len(words)}")
-        if len(set(words)) != WORDLIST_SIZE:
+        self.words = tuple(words)
+        if len(self.words) != WORDLIST_SIZE:
+            raise AnalysisError(
+                f"wordlist must have {WORDLIST_SIZE} entries, got {len(self.words)}")
+        self._index = {w: i for i, w in enumerate(self.words)}
+        if len(self._index) != WORDLIST_SIZE:
             raise AnalysisError("wordlist entries must be distinct")
-        self.words = words
 
     def __getitem__(self, index: int) -> str:
         return self.words[index]
 
     def index(self, word: str) -> int:
-        try:
-            return self._index[word]
-        except AttributeError:
-            self._index = {w: i for i, w in enumerate(self.words)}
-            return self._index[word]
+        return self._index[word]
 
     @classmethod
     def synthetic(cls) -> "Wordlist":
-        """Deterministic built-in list: four syllables per word, one per nibble."""
-        words = []
-        for i in range(WORDLIST_SIZE):
-            words.append("".join(_SYLLABLES[(i >> shift) & 0xF]
-                                 for shift in (12, 8, 4, 0)))
-        return cls(words)
+        """Deterministic built-in list: four syllables per word, one per nibble.
+
+        Built once per process, by one thread; a Wordlist is immutable, so
+        callers share it.
+        """
+        with _SYNTHETIC_LOCK:
+            if cls not in _SYNTHETIC:
+                _SYNTHETIC[cls] = cls("".join(syllables) for syllables
+                                      in itertools.product(_SYLLABLES, repeat=4))
+            return _SYNTHETIC[cls]
 
     @classmethod
     def from_file(cls, path) -> "Wordlist":

@@ -75,25 +75,28 @@ def _confirmed_run(password_a: bytes, password_b: bytes, group, rng_a, rng_b) ->
     return ok_a and ok_b, log
 
 
-def _passive_candidates(log: dict, dictionary, group) -> list[bytes]:
+def _dlog_table(group) -> dict:
+    """Every element's discrete log to the generator: 11 entries in the toy group."""
+    return {group.exp(group.generator, x): x for x in range(group.order)}
+
+
+def _blinds(dictionary, group) -> list[tuple[bytes, object]]:
+    """(candidate, M^pi) for every dictionary entry."""
+    ctx = pake.password_context(group)
+    return [(candidate, group.exp(group.M, group.scalar_from_password(candidate, ctx)))
+            for candidate in dictionary]
+
+
+def _passive_candidates(log: dict, blinds, group, dlog: dict) -> list[bytes]:
     """Candidates still consistent with the observed transcript.
 
-    In the toy group we can brute-force discrete logs, so this actually
+    In the toy group discrete logs are a table lookup, so this actually
     solves for an ephemeral exponent per candidate instead of waving hands:
-    a candidate is consistent iff X* / M^pi lands in the group, which it
-    always does in a cyclic group.
+    a candidate is consistent iff X* / M^pi has a discrete log in ``dlog``,
+    which it always does in a cyclic group.
     """
-    g = group
-    consistent = []
-    ctx = pake.password_context(g)
-    for candidate in dictionary:
-        pi = g.scalar_from_password(candidate, ctx)
-        unblinded = g.div(g.decode(log["msg_a"]), g.exp(g.M, pi))
-        for x in range(g.order):  # brute-force dlog
-            if g.exp(g.generator, x) == unblinded:
-                consistent.append(candidate)
-                break
-    return consistent
+    x_star = group.decode(log["msg_a"])
+    return [candidate for candidate, blind in blinds if group.div(x_star, blind) in dlog]
 
 
 def adversary_harness(dictionary: list[bytes], strategy: Strategy | str,
@@ -111,6 +114,7 @@ def adversary_harness(dictionary: list[bytes], strategy: Strategy | str,
     rnd = random.Random(seed)
     pool = honest_passwords if honest_passwords is not None else dictionary
     stats = HarnessStats(strategy=strategy)
+    dlog, blinds = _dlog_table(group), _blinds(dictionary, group)
 
     def rng(order, _r=rnd):
         return _r.randrange(order)
@@ -122,7 +126,7 @@ def adversary_harness(dictionary: list[bytes], strategy: Strategy | str,
         if strategy is Strategy.PASSIVE:
             matched, log = _confirmed_run(password, password, group, rng, rng)
             assert matched
-            candidates = _passive_candidates(log, dictionary, group)
+            candidates = _passive_candidates(log, blinds, group, dlog)
             # unique candidate would mean the transcript leaked the password
             if len(candidates) == 1 and candidates[0] == password and len(dictionary) > 1:
                 stats.adversary_successes += 1

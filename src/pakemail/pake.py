@@ -106,6 +106,10 @@ class PakeSession:
         g = self.group
         try:
             inbound = g.decode(inbound_message)
+            # RFC 9382: reject the identity as a share. The toy group keeps
+            # it, since an honest order-11 run draws it 1 time in 11.
+            if inbound == g.identity and g.security_bits >= 128:
+                raise DecodeError("the identity element is not a valid share")
         except DecodeError:
             self.phase = Phase.FAILED
             raise

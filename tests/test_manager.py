@@ -1,10 +1,13 @@
+import sys
 import threading
 
 import pytest
 
+from pakemail import manager
 from pakemail.manager import (
     AttemptPolicy,
     AuthResult,
+    ExchangeRecord,
     Keystore,
     LockedOutError,
     ManagerError,
@@ -14,7 +17,7 @@ from pakemail.manager import (
     assign_role,
 )
 from pakemail.pake import Role, password_context
-from pakemail.transport import LoopbackTransport, TransportEnvelope
+from pakemail.transport import FLOW_RESPONDER_TAG, LoopbackTransport, TransportEnvelope
 
 IDA, IDB = b"a@x", b"b@x"
 
@@ -91,6 +94,167 @@ def test_keystore_peer_state_roundtrip(tmp_path):
     assert back.failed_attempts == 2
 
 
+def _exchange(n: int, peer: bytes = IDB) -> ExchangeRecord:
+    return ExchangeRecord(exchange_id=n.to_bytes(16, "big"), peer=peer, role=Role.INITIATOR,
+                          outcome=Outcome.SUCCESS, started_at=1.7e9 + n,
+                          ended_at=1.7e9 + n + 0.25)
+
+
+def _records(path) -> list[bytes]:
+    """The journal's record lines, header excluded."""
+    return path.read_bytes().split(b"\n")[1:-1]
+
+
+def test_keystore_saves_in_place_mutation_and_direct_appends(tmp_path):
+    path = tmp_path / "s.ks"
+    Keystore(path, IDA)
+    ks = Keystore(path)
+    ks.peer(IDB).chained_key = bytes(range(32))
+    ks.exchanges.append(_exchange(1))
+    ks.save()
+    ks.peer(IDB).failed_attempts = 2  # the same record, mutated again
+    ks.exchanges.append(_exchange(2))
+    ks.save()
+    back = Keystore(path)
+    assert back.peer(IDB).chained_key == bytes(range(32))
+    assert back.peer(IDB).failed_attempts == 2
+    assert back.exchanges == [_exchange(1), _exchange(2)]
+
+
+def test_keystore_torn_tail_loads_a_prefix_and_heals(tmp_path):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.peer(IDB).failed_attempts = 1
+    ks.save()
+    start = path.stat().st_size
+    ks.peer(IDB).failed_attempts = 2
+    ks.save()
+    ks.record_exchange(_exchange(1))
+    # the last four records: peer, seal, exchange, seal
+    full = path.read_bytes()
+    peer_end = full.index(b"\n", full.index(b'"failed_attempts": 2')) + 1
+    exchange_end = full.index(b"\n", full.index(b" exchange ")) + 1
+    for cut in range(start, len(full) + 1):
+        path.write_bytes(full[:cut])
+        torn = Keystore(path)
+        attempts = 2 if cut >= peer_end else 1
+        history = [_exchange(1)] if cut >= exchange_end else []
+        assert torn.peer(IDB).failed_attempts == attempts, cut
+        assert torn.exchanges == history, cut
+        torn.record_exchange(_exchange(2))
+        healed = Keystore(path)
+        assert healed.peer(IDB).failed_attempts == attempts, cut
+        assert healed.exchanges == history + [_exchange(2)], cut
+        assert path.read_bytes().endswith(b"\n")
+
+
+def test_keystore_appends_from_two_handles_both_survive(tmp_path):
+    # two processes running `pakemail` on one keystore at once
+    path = tmp_path / "s.ks"
+    Keystore(path, IDA)
+    first, second = Keystore(path), Keystore(path)
+    first.record_exchange(_exchange(1))
+    second.peer(IDB).failed_attempts = 1
+    second.record_exchange(_exchange(2))
+    back = Keystore(path)
+    assert back.exchanges == [_exchange(1), _exchange(2)]
+    assert back.peer(IDB).failed_attempts == 1
+
+
+def test_keystore_refuses_a_corrupt_middle_record(tmp_path):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.peer(IDB).chained_key = bytes(range(32))
+    ks.save()
+    ks.record_exchange(_exchange(1))
+    lines = path.read_bytes().split(b"\n")
+    n = next(n for n, line in enumerate(lines) if line[8:14] == b" peer ")
+    assert n + 1 < len(lines) - 2  # records follow it
+    lines[n] = lines[n].replace(b'"failed_attempts": 0', b'"failed_attempts": 1')
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ManagerError, match=f"line {n + 1} ") as err:
+        Keystore(path)
+    assert bytes(range(32)).hex() not in str(err.value)
+
+
+def test_keystore_v1_file_is_rewritten_as_v2(tmp_path):
+    path = tmp_path / "s.ks"
+    fpr = "ab" * 20
+    path.write_text("\n".join([
+        "pakemail-keystore v1",
+        'self {"identity": "%s", "fingerprint": "%s"}' % (IDA.hex(), fpr),
+        'peer {"identity": "%s", "fingerprint": null, "authenticated": true, '
+        '"chained_key": "%s", "failed_attempts": 1}' % (IDB.hex(), "11" * 32),
+        'exchange {"exchange_id": "%s", "peer": "%s", "role": "initiator", '
+        '"outcome": "success", "started_at": 1700000001.0, "ended_at": 1700000001.25}'
+        % (bytes(15).hex() + "01", IDB.hex()),
+    ]) + "\n")
+    ks = Keystore(path, IDA)
+    assert ks.self_fingerprint.hex == fpr
+    assert ks.peer(IDB).chained_key == bytes([0x11]) * 32
+    assert ks.peer(IDB).failed_attempts == 1
+    assert ks.exchanges == [_exchange(1)]
+    ks.record_exchange(_exchange(2))
+    assert path.read_text().startswith("pakemail-keystore v2\n")
+    back = Keystore(path, IDA)
+    assert back.self_fingerprint.hex == fpr
+    assert back.peer(IDB).authenticated and back.peer(IDB).failed_attempts == 1
+    assert back.exchanges == [_exchange(1), _exchange(2)]
+
+
+def test_keystore_append_size_does_not_grow_with_history(tmp_path):
+    grown = []
+    for history in (10, 5000):
+        path = tmp_path / f"{history}.ks"
+        ks = Keystore(path, IDA)
+        ks.exchanges.extend(_exchange(n) for n in range(history))
+        ks.save()
+        ks = Keystore(path)
+        before, inode = path.read_bytes(), path.stat().st_ino
+        ks.peer(IDB).failed_attempts = 1
+        ks.record_exchange(_exchange(history))
+        # appended in place: same file, old bytes untouched
+        assert path.stat().st_ino == inode
+        assert path.read_bytes().startswith(before)
+        grown.append(path.stat().st_size - len(before))
+    # one peer record and one exchange record, whatever the history length
+    assert grown[0] == grown[1] < 400
+
+
+def test_keystore_compacts_superseded_records(tmp_path):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.exchanges.extend(_exchange(n) for n in range(3))
+    ks.save()
+    ks = Keystore(path)  # the history stays unparsed through compactions
+    for attempts in range(1, 50):
+        ks.peer(IDB).failed_attempts = attempts
+        ks.save()
+        # live records: self, the newest seal, one peer and three
+        # exchanges; superseded records never outnumber them
+        assert len(_records(path)) <= 2 * 6
+    back = Keystore(path)
+    assert back.peer(IDB).failed_attempts == 49
+    assert back.exchanges == [_exchange(n) for n in range(3)]
+
+
+def test_record_exchange_leaves_the_history_unparsed(tmp_path, monkeypatch):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.exchanges.extend(_exchange(n) for n in range(3))
+    ks.save()
+
+    def refuse(line):
+        raise AssertionError("history parsed")
+
+    monkeypatch.setattr(manager, "_parse_exchange", refuse)
+    ks = Keystore(path)
+    ks.peer(IDB).failed_attempts = 1
+    ks.record_exchange(_exchange(3))
+    monkeypatch.undo()
+    assert Keystore(path).exchanges == [_exchange(n) for n in range(4)]
+
+
 # ---------------------------------------------------------------------------
 # Authentication
 # ---------------------------------------------------------------------------
@@ -138,6 +302,56 @@ def test_silent_peer_times_out_and_is_recorded(tmp_path, toy):
     assert [e.outcome for e in ma.keystore.exchanges] == [Outcome.ABORTED_BY_TIMEOUT]
     # a timeout is not a password failure
     assert ma.keystore.peer(IDB).failed_attempts == 0
+
+
+def test_one_manager_serves_two_peers_on_threads(tmp_path, toy):
+    idc = b"c@x"
+    peers = (IDB, idc)
+    # both responders release their tags together, so the manager's two
+    # exchanges confirm and save at the same moment
+    barrier = threading.Barrier(2, timeout=5.0)
+
+    class InLockstep(LoopbackTransport):
+        def send(self, env):
+            if env.flow == FLOW_RESPONDER_TAG:
+                barrier.wait()
+            super().send(env)
+
+    backend = InLockstep()
+    ma = SessionManager(Keystore(tmp_path / "a.ks", IDA), backend, toy)
+    others = {peer: SessionManager(Keystore(tmp_path / f"{peer.hex()}.ks", peer), backend, toy)
+              for peer in peers}
+    results = {}
+
+    def run(name, mgr, peer):
+        results[name] = mgr.authenticate(peer, b"pw", timeout=5.0)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            threads = [threading.Thread(target=run, args=(("a", peer), ma, peer))
+                       for peer in peers]
+            threads += [threading.Thread(target=run, args=(peer, mgr, IDA))
+                        for peer, mgr in others.items()]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10.0)
+            assert not any(t.is_alive() for t in threads)
+            assert all(r.outcome is Outcome.SUCCESS for r in results.values())
+            for peer, mgr in others.items():
+                assert ma.keystore.peer(peer).fingerprint == mgr.keystore.self_fingerprint
+                assert ma.keystore.peer(peer).chained_key == results[peer].key
+    finally:
+        sys.setswitchinterval(switch)
+
+    ids = [e.exchange_id for e in Keystore(tmp_path / "a.ks").exchanges]
+    assert len(ids) == len(set(ids)) == 10
+    for peer, mgr in others.items():
+        assert ma.keystore.peer(peer).fingerprint == mgr.keystore.self_fingerprint
+        theirs = [e.exchange_id for e in Keystore(mgr.keystore.path).exchanges]
+        assert len(theirs) == len(set(theirs)) == 5 and set(theirs) <= set(ids)
 
 
 def test_duplicate_and_reordered_envelopes_tolerated(tmp_path, toy):

@@ -133,13 +133,16 @@ def test_forced_randomness_refused_in_production(production):
 
 
 def test_identity_share_is_not_taken_for_a_missing_one(production):
-    # the secp256k1 identity is None in native form; finish must still see
-    # that both shares are known, or reject the share as undecodable
+    # RFC 9382: the identity is no valid share on the production group
     s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", production)
-    try:
-        sk = s.finish(production.encode(production.identity))
-    except DecodeError:
-        assert s.phase is Phase.FAILED
-    else:
-        assert len(sk) == 32 and s.phase is Phase.KEYED
-        assert s.transcript().endswith(production.encode(production.identity))
+    with pytest.raises(DecodeError):
+        s.finish(production.encode(production.identity))
+    assert s.phase is Phase.FAILED
+    assert s.sk is None
+
+
+def test_toy_group_keeps_its_identity_as_a_share(toy):
+    # an honest order-11 run lands on the identity 1 time in 11
+    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    assert len(s.finish(toy.encode(toy.identity))) == 32
+    assert s.phase is Phase.KEYED
