@@ -12,7 +12,7 @@ import argparse
 import getpass
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import analysis, relay
@@ -221,7 +221,7 @@ def cmd_trustwords(args, config: ClientConfig) -> int:
 
 def cmd_relay_serve(args, config: ClientConfig) -> int:
     host, _, port = args.listen.rpartition(":")
-    store = relay.MailboxStore(args.persist) if args.persist else relay.MailboxStore()
+    store = relay.MailboxStore(args.persist)
     server = relay.RelayServer((host or "127.0.0.1", int(port)), store)
     print(f"relay listening on {server.address[0]}:{server.address[1]}")
     server.start()

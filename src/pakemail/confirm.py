@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .pake import Role, StateError, _lp
+from . import wire
+from .pake import Role, StateError
 
 FINGERPRINT_LEN = 20  # 160 bits, PGP-fingerprint sized
 KDF_INFO = b"pakemail-confirm-v1"
-TAG_LEN = 32
 
 
 @dataclass(frozen=True)
@@ -123,4 +123,4 @@ def embed_fingerprints_in_secret(password: bytes, fpr_a: Fingerprint,
     """
     if not password:
         raise ValueError("password must be non-empty")
-    return _lp(password) + _lp(fpr_a.bytes) + _lp(fpr_b.bytes)
+    return wire.pack([password, fpr_a.bytes, fpr_b.bytes])

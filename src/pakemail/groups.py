@@ -18,6 +18,8 @@ import hashlib
 import secrets
 from typing import Optional, Tuple, Union
 
+from . import wire
+
 # A toy-group element is an int below the modulus; a secp256k1 element is an
 # affine (x, y) tuple, with None for the point at infinity.
 GroupElement = Union[int, Tuple[int, int], None]
@@ -32,8 +34,8 @@ class Group:
 
     This base class carries the public interface (group law, encodings, the
     blinding constants M and N) and the scalar/password plumbing shared by
-    every instantiation. Subclasses supply the elements ``_identity`` and
-    ``_generator`` and the native arithmetic hooks: the group operation
+    every instantiation. Subclasses supply the elements ``identity`` and
+    ``generator`` and the native arithmetic hooks: the group operation
     ``_op(a, b)``, the inverse ``_inv(a)``, ``_exp(base, e)`` for
     0 <= e < order, ``_to_bytes(a)``, ``_from_bytes(data)`` for a correctly
     sized encoding (raising DecodeError on anything else), and
@@ -44,16 +46,8 @@ class Group:
     order: int
     security_bits: int
     element_size: int
-    _identity: GroupElement
-    _generator: GroupElement
-
-    @property
-    def identity(self) -> GroupElement:
-        return self._identity
-
-    @property
-    def generator(self) -> GroupElement:
-        return self._generator
+    identity: GroupElement
+    generator: GroupElement
 
     @functools.cached_property
     def M(self) -> GroupElement:
@@ -104,12 +98,8 @@ class Group:
         """Hash a low-entropy secret to a scalar, domain-separated by context."""
         if not password:
             raise ValueError("password must be non-empty")
-        h = hashlib.sha512()
-        h.update(len(context).to_bytes(4, "big"))
-        h.update(context)
-        h.update(len(password).to_bytes(4, "big"))
-        h.update(password)
-        return int.from_bytes(h.digest(), "big") % self.order
+        digest = hashlib.sha512(wire.pack([context, password])).digest()
+        return int.from_bytes(digest, "big") % self.order
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +115,11 @@ class ToyGroup(Group):
     order = 11
     security_bits = 3
     element_size = 1
-    _identity = 1
-    _generator = 2
+    identity = 1
+    generator = 2
 
     def __init__(self) -> None:
-        self._members = frozenset(pow(self._generator, k, self.modulus) for k in range(self.order))
+        self._members = frozenset(pow(self.generator, k, self.modulus) for k in range(self.order))
 
     def _op(self, a: int, b: int) -> int:
         return a * b % self.modulus
@@ -332,8 +322,8 @@ class Secp256k1Group(Group):
     order = _N
     security_bits = 128
     element_size = 33
-    _identity = None
-    _generator = (_GX, _GY)
+    identity = None
+    generator = (_GX, _GY)
 
     _INFINITY = b"\x00" * 33
 
@@ -346,7 +336,7 @@ class Secp256k1Group(Group):
 
     def _exp(self, base: _Affine, e: int) -> _Affine:
         table = self._combs.get(base)
-        if table is None and base in (self._generator, self.M, self.N):
+        if table is None and base in (self.generator, self.M, self.N):
             table = self._combs[base] = _comb_table(base)
         return _window_mul(base, e) if table is None else _comb_mul(table, e)
 

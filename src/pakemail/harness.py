@@ -61,8 +61,9 @@ _SID_SUFFIX = b"harness"
 
 def _confirmed_run(password_a: bytes, password_b: bytes, group, rng_a, rng_b) -> tuple[bool, dict]:
     """One full honest-shaped run; returns (tags_matched, transcript log)."""
-    sa, msg_a = pake.start(Role.INITIATOR, _ID_A, _ID_B, password_a, group, rng=rng_a)
-    sb, msg_b = pake.start(Role.RESPONDER, _ID_B, _ID_A, password_b, group, rng=rng_b)
+    sa = pake.PakeSession(Role.INITIATOR, _ID_A, _ID_B, password_a, group, rng=rng_a)
+    sb = pake.PakeSession(Role.RESPONDER, _ID_B, _ID_A, password_b, group, rng=rng_b)
+    msg_a, msg_b = sa.start(), sb.start()
     sk_a = sa.finish(msg_b)
     sk_b = sb.finish(msg_a)
     sid_a = sa.transcript() + _SID_SUFFIX

@@ -17,10 +17,10 @@ import tempfile
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from . import confirm, pake, sealed
+from . import confirm, pake, sealed, wire
 from .confirm import Fingerprint
 from .groups import Group
 from .pake import Role
@@ -37,6 +37,7 @@ from .transport import (
 
 KEYSTORE_HEADER = "pakemail-keystore v2"
 _V1_HEADER = "pakemail-keystore v1"
+POLL_INTERVAL = 0.005  # seconds between a session manager's backend polls
 
 
 class ManagerError(Exception):
@@ -454,19 +455,18 @@ def assign_role(self_id: bytes, peer_id: bytes) -> Role:
 
 
 def _sid(session: pake.PakeSession, exchange_id: bytes) -> bytes:
-    return session.transcript() + pake._lp(exchange_id)
+    return session.transcript() + wire.pack([exchange_id])
 
 
 class SessionManager:
     """Drives exchanges for one client identity over one backend."""
 
     def __init__(self, keystore: Keystore, backend: TransportBackend, group: Group,
-                 policy: AttemptPolicy | None = None, poll_interval: float = 0.005):
+                 policy: AttemptPolicy | None = None):
         self.keystore = keystore
         self.backend = backend
         self.group = group
         self.policy = policy if policy is not None else AttemptPolicy()
-        self.poll_interval = poll_interval
         self._inbox: dict[tuple[bytes, int], TransportEnvelope] = {}
         self._processed: set[tuple[bytes, int]] = set()
         # threads serving several peers share the inbox
@@ -507,7 +507,7 @@ class SessionManager:
                     return self._inbox.pop(key)
             if time.monotonic() >= deadline:
                 return None
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
 
     def _send(self, peer: bytes, exchange_id: bytes, flow: int, payload: bytes,
               with_fingerprint: bool = False) -> None:
@@ -523,8 +523,7 @@ class SessionManager:
     # -- authentication ----------------------------------------------------
 
     def authenticate(self, peer: bytes, password: bytes, role: Role | None = None, *,
-                     binding: str = "kc", timeout: float | None = None,
-                     _record: bool = True) -> AuthResult:
+                     binding: str = "kc", timeout: float | None = None) -> AuthResult:
         """Run a full exchange with key confirmation against ``peer``.
 
         ``binding`` selects where fingerprints bind: ``"kc"`` puts them in
@@ -546,8 +545,7 @@ class SessionManager:
         started = time.time()
         outcome, exchange_id, key, peer_fpr = self._run_exchange(
             peer, password, role, binding, deadline)
-        if _record:
-            self._finalize(peer, exchange_id, role, outcome, started, key, peer_fpr)
+        self._finalize(peer, exchange_id, role, outcome, started, key, peer_fpr)
         return AuthResult(outcome, exchange_id, key)
 
     def _run_exchange(self, peer: bytes, password: bytes, role: Role, binding: str,
@@ -564,7 +562,8 @@ class SessionManager:
             password = confirm.embed_fingerprints_in_secret(password, *fprs)
 
         if role is Role.INITIATOR:
-            session, first = pake.start(role, self.identity, peer, password, self.group)
+            session = pake.PakeSession(role, self.identity, peer, password, self.group)
+            first = session.start()
             self._send(peer, exchange_id, FLOW_INITIATOR_PAKE, first, with_fingerprint=True)
             reply = self._wait_for(FLOW_RESPONDER_PAKE, deadline, exchange_id)
             if reply is None:
@@ -575,7 +574,8 @@ class SessionManager:
             if opening is None:
                 return Outcome.ABORTED_BY_TIMEOUT, None, None, None
             exchange_id = opening.exchange_id
-            session, first = pake.start(role, self.identity, peer, password, self.group)
+            session = pake.PakeSession(role, self.identity, peer, password, self.group)
+            first = session.start()
             self._send(peer, exchange_id, FLOW_RESPONDER_PAKE, first, with_fingerprint=True)
             reply = opening
             peer_fpr = opening.fingerprint or record.fingerprint
@@ -676,4 +676,4 @@ class SessionManager:
                         record.chained_key, sealed.SealedMessage.from_bytes(env.payload))))
             if out or time.monotonic() >= deadline:
                 return out
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import hashlib
 
+from . import wire
 from .groups import DecodeError, Group, GroupElement
 
 PROTOCOL_VERSION = b"pakemail-v1"
@@ -39,11 +40,6 @@ class Phase(enum.Enum):
     KEYED = "keyed"
     CONFIRMED = "confirmed"
     FAILED = "failed"
-
-
-def _lp(data: bytes) -> bytes:
-    """Length-prefix a field so concatenations are unambiguous."""
-    return len(data).to_bytes(4, "big") + data
 
 
 def password_context(group: Group) -> bytes:
@@ -115,10 +111,8 @@ class PakeSession:
             raise
         self._inbound_star = g.encode(inbound)
         K = g.exp(g.div(inbound, g.exp(self._peer_blind, self._pi)), self._x)
-        h = hashlib.sha256()
-        h.update(self.transcript())
-        h.update(_lp(g.scalar_bytes(self._pi)))
-        h.update(_lp(g.encode(K)))
+        h = hashlib.sha256(self.transcript())
+        h.update(wire.pack([g.scalar_bytes(self._pi), g.encode(K)]))
         self.sk = h.digest()
         self.phase = Phase.KEYED
         return self.sk
@@ -133,7 +127,7 @@ class PakeSession:
         else:
             id_a, id_b = self.peer_id, self.self_id
             x_star, y_star = self._inbound_star, self._outbound_star
-        return b"".join([_lp(id_a), _lp(id_b), _lp(x_star), _lp(y_star)])
+        return wire.pack([id_a, id_b, x_star, y_star])
 
     def mark_confirmed(self) -> None:
         if self.phase is not Phase.KEYED:
@@ -143,10 +137,3 @@ class PakeSession:
     def mark_failed(self) -> None:
         self.phase = Phase.FAILED
         self.sk = None
-
-
-def start(role: Role, self_id: bytes, peer_id: bytes, password: bytes,
-          group: Group, *, rng=None) -> tuple[PakeSession, bytes]:
-    """Convenience wrapper: build a session and emit its first message."""
-    session = PakeSession(role, self_id, peer_id, password, group, rng=rng)
-    return session, session.start()

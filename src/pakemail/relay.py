@@ -5,8 +5,8 @@ imports nothing from the cryptographic modules, so it could not inspect
 traffic even by accident. Anyone can PUT into or GET from any mailbox:
 privacy rests entirely on the protocol transcript leaking nothing.
 
-Wire format: each frame is a 4-byte big-endian total length, a 1-byte
-opcode, then fields each carrying its own 4-byte big-endian length prefix.
+Wire format: each frame is one length-prefixed field (see :mod:`.wire`)
+holding a 1-byte opcode followed by the packed fields of the request.
 
     PUT  recipient, blob          -> OK
     GET  recipient                -> LIST id1, blob1, id2, blob2, ...
@@ -17,12 +17,14 @@ Malformed frames get an ERR reply and the connection survives.
 
 from __future__ import annotations
 
+import functools
 import logging
 import socket
 import socketserver
 import threading
 from collections import OrderedDict
-from pathlib import Path
+
+from . import wire
 
 logger = logging.getLogger(__name__)
 
@@ -36,33 +38,17 @@ OP_LIST = 5
 MAX_FRAME = 16 * 1024 * 1024
 
 
-class FrameError(Exception):
-    pass
+FrameError = wire.WireError  # frame bytes that do not decode
 
 
 def encode_frame(opcode: int, fields: list[bytes]) -> bytes:
-    body = bytes([opcode]) + b"".join(
-        len(f).to_bytes(4, "big") + bytes(f) for f in fields
-    )
-    return len(body).to_bytes(4, "big") + body
+    return wire.pack([bytes([opcode]) + wire.pack(fields)])
 
 
 def decode_frame(body: bytes) -> tuple[int, list[bytes]]:
     if not body:
         raise FrameError("empty frame")
-    opcode = body[0]
-    fields = []
-    offset = 1
-    while offset < len(body):
-        if offset + 4 > len(body):
-            raise FrameError("truncated field length")
-        n = int.from_bytes(body[offset:offset + 4], "big")
-        offset += 4
-        if offset + n > len(body):
-            raise FrameError("truncated field")
-        fields.append(body[offset:offset + n])
-        offset += n
-    return opcode, fields
+    return body[0], wire.unpack(body, 1)
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
@@ -78,70 +64,70 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
 
 
 def read_frame(sock: socket.socket) -> tuple[int, list[bytes]]:
-    header = _recv_exact(sock, 4)
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > MAX_FRAME:
-        raise FrameError(f"bad frame length {length}")
-    return decode_frame(_recv_exact(sock, length))
+    # _recv_exact raises ConnectionError where the stream ends
+    return decode_frame(wire.read_field(functools.partial(_recv_exact, sock), MAX_FRAME))
 
 
 class MailboxStore:
     """Per-recipient queues of opaque blobs, optionally persisted.
 
-    Persistence is an append-only log of PUT/ACK frames replayed at
-    startup; the store itself never looks inside a blob.
+    Persistence is an append-only log of PUT/ACK frames, each appended before
+    it is applied and replayed at startup; the store never looks inside a
+    blob. Replay skips a frame that does not apply; a torn frame at the end
+    (a crash or a failed append) is cut off before the next append.
     """
 
     def __init__(self, log_path=None) -> None:
         self._lock = threading.Lock()
         self._boxes: dict[bytes, OrderedDict] = {}
         self._next_id = 0
-        self._log_path = Path(log_path) if log_path else None
         self._log = None
-        if self._log_path is not None:
-            self._replay()
-            self._log = open(self._log_path, "ab")
+        # end of the last whole frame in the log; whether a torn one follows
+        self._end = 0
+        self._torn = False
+        if log_path:
+            log = open(log_path, "a+b")
+            log.seek(0)
+            self._replay(log)
+            self._log = log
 
-    def _replay(self) -> None:
-        if not self._log_path.exists():
-            return
-        data = self._log_path.read_bytes()
-        offset = 0
-        while offset + 4 <= len(data):
-            length = int.from_bytes(data[offset:offset + 4], "big")
-            if offset + 4 + length > len(data):
-                logger.warning("truncated relay log tail ignored")
-                break
-            opcode, fields = decode_frame(data[offset + 4:offset + 4 + length])
-            if opcode == OP_PUT:
-                self._put_locked(fields[0], fields[1])
-            elif opcode == OP_ACK:
-                self._ack_locked(fields[0], fields[1:])
-            offset += 4 + length
+    def _replay(self, log) -> None:
+        # self._log is still None, so applying a frame appends nothing
+        while True:
+            try:
+                body = wire.read_field(log.read, MAX_FRAME)
+            except FrameError as exc:
+                logger.warning("relay log: torn frame at offset %d cut off (%s)",
+                               self._end, exc)
+                self._torn = True
+                return
+            if body is None:
+                return
+            try:
+                self.apply(*decode_frame(body))
+            except FrameError as exc:
+                logger.warning("relay log: frame at offset %d skipped (%s)", self._end, exc)
+            self._end = log.tell()
 
     def _append_log(self, opcode: int, fields: list[bytes]) -> None:
-        if self._log is not None:
-            self._log.write(encode_frame(opcode, fields))
-            self._log.flush()
-
-    def _put_locked(self, recipient: bytes, blob: bytes) -> bytes:
-        blob_id = self._next_id.to_bytes(8, "big")
-        self._next_id += 1
-        self._boxes.setdefault(bytes(recipient), OrderedDict())[blob_id] = bytes(blob)
-        return blob_id
-
-    def _ack_locked(self, recipient: bytes, blob_ids) -> None:
-        box = self._boxes.get(bytes(recipient))
-        if not box:
+        if self._log is None:
             return
-        for blob_id in blob_ids:
-            box.pop(bytes(blob_id), None)
+        if self._torn:
+            self._log.truncate(self._end)
+        self._torn = True  # until the whole frame is in the log
+        frame = encode_frame(opcode, fields)
+        self._log.write(frame)
+        self._log.flush()
+        self._end += len(frame)
+        self._torn = False
 
     def put(self, recipient: bytes, blob: bytes) -> bytes:
         with self._lock:
-            blob_id = self._put_locked(recipient, blob)
             self._append_log(OP_PUT, [recipient, blob])
-        return blob_id
+            blob_id = self._next_id.to_bytes(8, "big")
+            self._next_id += 1
+            self._boxes.setdefault(bytes(recipient), OrderedDict())[blob_id] = bytes(blob)
+            return blob_id
 
     def get(self, recipient: bytes) -> list[tuple[bytes, bytes]]:
         with self._lock:
@@ -150,8 +136,28 @@ class MailboxStore:
 
     def ack(self, recipient: bytes, blob_ids) -> None:
         with self._lock:
-            self._ack_locked(recipient, blob_ids)
             self._append_log(OP_ACK, [recipient, *blob_ids])
+            box = self._boxes.get(bytes(recipient), {})
+            for blob_id in blob_ids:
+                box.pop(bytes(blob_id), None)
+
+    def apply(self, opcode: int, fields: list[bytes]) -> bytes:
+        """Carry out one request frame and return the reply frame."""
+        if opcode == OP_PUT:
+            if len(fields) != 2:
+                raise FrameError("PUT expects recipient and blob")
+            self.put(fields[0], fields[1])
+            return encode_frame(OP_OK, [])
+        if opcode == OP_GET:
+            if len(fields) != 1:
+                raise FrameError("GET expects a recipient")
+            return encode_frame(OP_LIST, [x for pair in self.get(fields[0]) for x in pair])
+        if opcode == OP_ACK:
+            if not fields:
+                raise FrameError("ACK expects a recipient")
+            self.ack(fields[0], fields[1:])
+            return encode_frame(OP_OK, [])
+        raise FrameError(f"unknown opcode {opcode}")
 
     def close(self) -> None:
         if self._log is not None:
@@ -166,42 +172,22 @@ class _RelayHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 opcode, fields = read_frame(self.request)
-            except (ConnectionError, OSError):
+            except OSError:
                 return
             except FrameError as exc:
-                try:
-                    self.request.sendall(encode_frame(OP_ERR, [str(exc).encode()]))
-                except OSError:
-                    return
-                continue
-            try:
-                reply = self._dispatch(store, opcode, fields)
-            except (FrameError, IndexError) as exc:
                 reply = encode_frame(OP_ERR, [str(exc).encode()])
+            else:
+                try:
+                    reply = store.apply(opcode, fields)
+                except FrameError as exc:
+                    reply = encode_frame(OP_ERR, [str(exc).encode()])
+                except OSError as exc:  # the log append failed, nothing was applied
+                    logger.error("relay log append failed: %s", exc)
+                    reply = encode_frame(OP_ERR, [b"relay log append failed"])
             try:
                 self.request.sendall(reply)
             except OSError:
                 return
-
-    @staticmethod
-    def _dispatch(store: MailboxStore, opcode: int, fields: list[bytes]) -> bytes:
-        if opcode == OP_PUT:
-            if len(fields) != 2:
-                raise FrameError("PUT expects recipient and blob")
-            store.put(fields[0], fields[1])
-            return encode_frame(OP_OK, [])
-        if opcode == OP_GET:
-            if len(fields) != 1:
-                raise FrameError("GET expects a recipient")
-            pairs = store.get(fields[0])
-            flat = [x for pair in pairs for x in pair]
-            return encode_frame(OP_LIST, flat)
-        if opcode == OP_ACK:
-            if not fields:
-                raise FrameError("ACK expects a recipient")
-            store.ack(fields[0], fields[1:])
-            return encode_frame(OP_OK, [])
-        raise FrameError(f"unknown opcode {opcode}")
 
 
 class RelayServer:
@@ -239,7 +225,3 @@ class RelayServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def serve(bind_address: tuple[str, int], store: MailboxStore | None = None) -> RelayServer:
-    return RelayServer(bind_address, store).start()

@@ -24,8 +24,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import relay
-from .confirm import FINGERPRINT_LEN, Fingerprint
+from . import relay, wire
+from .confirm import Fingerprint
 
 logger = logging.getLogger(__name__)
 
@@ -53,26 +53,14 @@ class NotPakeMailMessage(Exception):
     """An ordinary email without the PAKEMAIL subject marker."""
 
 
-def _lp(data: bytes) -> bytes:
-    return len(data).to_bytes(4, "big") + data
-
-
-def _read_lp(data: bytes, offset: int) -> tuple[bytes, int]:
-    if offset + 4 > len(data):
-        raise EnvelopeError("truncated length prefix")
-    n = int.from_bytes(data[offset:offset + 4], "big")
-    offset += 4
-    if offset + n > len(data):
-        raise EnvelopeError("truncated field")
-    return data[offset:offset + n], offset + n
-
-
 @dataclass(frozen=True)
 class TransportEnvelope:
     """Wire unit for one protocol flow.
 
     ``exchange_id`` stays constant across all flows of one session; the
     sender's fingerprint travels only on the two PAKE flows (0 and 1).
+    On the wire: magic, exchange id, flow byte, then sender, recipient,
+    fingerprint (empty when absent) and payload as packed fields.
     """
 
     exchange_id: bytes
@@ -92,8 +80,8 @@ class TransportEnvelope:
 
     def to_bytes(self) -> bytes:
         fpr = self.fingerprint.bytes if self.fingerprint else b""
-        return (_ENVELOPE_MAGIC + self.exchange_id + bytes([self.flow])
-                + _lp(self.sender) + _lp(self.recipient) + _lp(fpr) + _lp(self.payload))
+        return b"".join([_ENVELOPE_MAGIC, self.exchange_id, bytes([self.flow]),
+                         wire.pack([self.sender, self.recipient, fpr, self.payload])])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "TransportEnvelope":
@@ -101,16 +89,12 @@ class TransportEnvelope:
             raise EnvelopeError("bad envelope magic")
         if len(data) < 22:
             raise EnvelopeError("truncated envelope")
-        exchange_id = data[5:21]
-        flow = data[21]
-        sender, off = _read_lp(data, 22)
-        recipient, off = _read_lp(data, off)
-        fpr, off = _read_lp(data, off)
-        payload, off = _read_lp(data, off)
-        if off != len(data):
-            raise EnvelopeError("trailing bytes after envelope")
+        try:
+            sender, recipient, fpr, payload = wire.unpack(data, 22)
+        except ValueError as exc:  # a WireError, or not four fields
+            raise EnvelopeError(f"malformed envelope: {exc}") from None
         fingerprint = Fingerprint(fpr) if fpr else None
-        return cls(exchange_id, flow, sender, recipient, payload, fingerprint)
+        return cls(data[5:21], data[21], sender, recipient, payload, fingerprint)
 
 
 def fresh_exchange_id() -> bytes:
@@ -259,7 +243,7 @@ class MaildirTransport(TransportBackend):
 
 
 # ---------------------------------------------------------------------------
-# IMAP/SMTP (opt-in; configured from the environment or a config mapping)
+# IMAP/SMTP (configured from the environment or a config mapping)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -270,26 +254,27 @@ class MailAccountConfig:
     imap_port: int
     username: str
     password: str
-    use_tls: bool = True
 
     @classmethod
-    def from_env(cls, environ=None) -> "MailAccountConfig":
-        env = os.environ if environ is None else environ
+    def from_env(cls) -> "MailAccountConfig":
         try:
             return cls(
-                smtp_host=env["PAKEMAIL_SMTP_HOST"],
-                smtp_port=int(env.get("PAKEMAIL_SMTP_PORT", "465")),
-                imap_host=env["PAKEMAIL_IMAP_HOST"],
-                imap_port=int(env.get("PAKEMAIL_IMAP_PORT", "993")),
-                username=env["PAKEMAIL_SMTP_USER"],
-                password=env["PAKEMAIL_SMTP_PASSWORD"],
+                smtp_host=os.environ["PAKEMAIL_SMTP_HOST"],
+                smtp_port=int(os.environ.get("PAKEMAIL_SMTP_PORT", "465")),
+                imap_host=os.environ["PAKEMAIL_IMAP_HOST"],
+                imap_port=int(os.environ.get("PAKEMAIL_IMAP_PORT", "993")),
+                username=os.environ["PAKEMAIL_SMTP_USER"],
+                password=os.environ["PAKEMAIL_SMTP_PASSWORD"],
             )
         except KeyError as exc:
             raise TransportError(f"missing mail configuration variable {exc}") from exc
 
 
 class ImapSmtpTransport(TransportBackend):
-    """Live email backend; exercised only by opt-in integration tests."""
+    """Live email backend: sends over SMTP with TLS, polls over IMAP with TLS.
+
+    A poll marks every unseen PAKEMAIL-subject message seen, decodable or not.
+    """
 
     def __init__(self, config: MailAccountConfig) -> None:
         self.config = config
@@ -361,14 +346,11 @@ class RelayTransport(TransportBackend):
         if opcode != relay.OP_LIST or len(fields) % 2:
             raise TransportError("malformed relay LIST reply")
         envelopes = []
-        ids = []
-        for blob_id, blob in zip(fields[::2], fields[1::2]):
+        for blob in fields[1::2]:
             try:
                 envelopes.append(TransportEnvelope.from_bytes(blob))
-                ids.append(blob_id)
             except EnvelopeError as exc:
                 logger.warning("skipping malformed relay blob: %s", exc)
-                ids.append(blob_id)  # still consume it
-        if ids:
-            self._roundtrip(relay.encode_frame(relay.OP_ACK, [recipient, *ids]))
+        if fields:  # malformed blobs are acknowledged too
+            self._roundtrip(relay.encode_frame(relay.OP_ACK, [recipient, *fields[::2]]))
         return envelopes

@@ -54,10 +54,12 @@ def _fixed(value):
 def _confirmed_pair(group, pw_a, pw_b, *, x=None, y=None,
                     fpr_b_seen_by_a=FPR_B, fpr_a_seen_by_b=FPR_A):
     """Full handshake plus confirmation; returns (ok_a, ok_b, key_a, key_b, sk_a, sk_b)."""
-    sa, msg_a = pake.start(Role.INITIATOR, IDA, IDB, pw_a, group,
-                           rng=_fixed(x) if x is not None else None)
-    sb, msg_b = pake.start(Role.RESPONDER, IDB, IDA, pw_b, group,
-                           rng=_fixed(y) if y is not None else None)
+    sa = pake.PakeSession(Role.INITIATOR, IDA, IDB, pw_a, group,
+                          rng=_fixed(x) if x is not None else None)
+    msg_a = sa.start()
+    sb = pake.PakeSession(Role.RESPONDER, IDB, IDA, pw_b, group,
+                          rng=_fixed(y) if y is not None else None)
+    msg_b = sb.start()
     sk_a, sk_b = sa.finish(msg_b), sb.finish(msg_a)
     sid_a, sid_b = sa.transcript(), sb.transcript()
     ba = derive_bundle(sk_a, sid_a, FPR_A, fpr_b_seen_by_a, Role.INITIATOR)

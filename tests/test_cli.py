@@ -14,6 +14,7 @@ from pakemail.cli import (
     main,
 )
 from pakemail.relay import RelayServer
+from pakemail.transport import ImapSmtpTransport, MailAccountConfig
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +65,18 @@ def test_relay_spec_host_and_port(spec, host, port):
 def test_relay_spec_without_host_rejected():
     with pytest.raises(ValueError):
         cli._build_backend(ClientConfig(transport="relay:7000"))
+
+
+def test_imap_smtp_spec_builds_the_mail_backend(monkeypatch):
+    for name, value in {"PAKEMAIL_SMTP_HOST": "smtp.example", "PAKEMAIL_IMAP_HOST": "imap.example",
+                        "PAKEMAIL_IMAP_PORT": "1993", "PAKEMAIL_SMTP_USER": "a@x",
+                        "PAKEMAIL_SMTP_PASSWORD": "app-password"}.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.delenv("PAKEMAIL_SMTP_PORT", raising=False)
+    backend = cli._build_backend(ClientConfig(transport="imap-smtp"))
+    assert isinstance(backend, ImapSmtpTransport)
+    assert backend.config == MailAccountConfig("smtp.example", 465, "imap.example", 1993,
+                                               "a@x", "app-password")
 
 
 # ---------------------------------------------------------------------------

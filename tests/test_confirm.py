@@ -83,8 +83,10 @@ def test_failed_verification_withholds_key():
 
 def _full_run(toy, pw_a, pw_b, fpr_b_view_a=FPR_B, fpr_a_view_b=FPR_A,
               sid_suffix=b"s"):
-    sa, msg_a = pake.start(Role.INITIATOR, b"a@x", b"b@x", pw_a, toy)
-    sb, msg_b = pake.start(Role.RESPONDER, b"b@x", b"a@x", pw_b, toy)
+    sa = pake.PakeSession(Role.INITIATOR, b"a@x", b"b@x", pw_a, toy)
+    msg_a = sa.start()
+    sb = pake.PakeSession(Role.RESPONDER, b"b@x", b"a@x", pw_b, toy)
+    msg_b = sb.start()
     sk_a, sk_b = sa.finish(msg_b), sb.finish(msg_a)
     sid_a = sa.transcript() + sid_suffix
     sid_b = sb.transcript() + sid_suffix
@@ -128,8 +130,10 @@ def test_embedded_fingerprint_mismatch_diverges_and_rejects(toy):
     # in-pi binding: one flipped fingerprint bit in one side's view
     pw_a = embed_fingerprints_in_secret(b"pw", FPR_A, FPR_B)
     pw_b = embed_fingerprints_in_secret(b"pw", FPR_A, FPR_B.flip_bit(7))
-    sa, msg_a = pake.start(Role.INITIATOR, b"a@x", b"b@x", pw_a, toy)
-    sb, msg_b = pake.start(Role.RESPONDER, b"b@x", b"a@x", pw_b, toy)
+    sa = pake.PakeSession(Role.INITIATOR, b"a@x", b"b@x", pw_a, toy)
+    msg_a = sa.start()
+    sb = pake.PakeSession(Role.RESPONDER, b"b@x", b"a@x", pw_b, toy)
+    msg_b = sb.start()
     sk_a, sk_b = sa.finish(msg_b), sb.finish(msg_a)
     assert sk_a != sk_b  # keys diverge before confirmation
     ba = derive_bundle(sk_a, sa.transcript(), FPR_A, FPR_B, Role.INITIATOR)

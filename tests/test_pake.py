@@ -19,29 +19,31 @@ def fixed(value):
 
 
 def run_pair(group, pw_a, pw_b, x=None, y=None, ida=IDA, idb=IDB):
-    sa, msg_a = pake.start(Role.INITIATOR, ida, idb, pw_a, group,
-                           rng=fixed(x) if x is not None else None)
-    sb, msg_b = pake.start(Role.RESPONDER, idb, ida, pw_b, group,
-                           rng=fixed(y) if y is not None else None)
+    sa = pake.PakeSession(Role.INITIATOR, ida, idb, pw_a, group,
+                          rng=fixed(x) if x is not None else None)
+    msg_a = sa.start()
+    sb = pake.PakeSession(Role.RESPONDER, idb, ida, pw_b, group,
+                          rng=fixed(y) if y is not None else None)
+    msg_b = sb.start()
     return sa, sb, sa.finish(msg_b), sb.finish(msg_a)
 
 
 def test_start_randomized_outbound(toy):
-    _, m1 = pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)
-    _, m2 = pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    m1 = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy).start()
+    m2 = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy).start()
     # order 11: collisions possible but not 20 in a row
-    msgs = {pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)[1] for _ in range(20)}
+    msgs = {pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy).start() for _ in range(20)}
     assert len(msgs) > 1
 
 
 def test_forced_initiator_outbound_matches_oracle(toy):
-    _, msg = pake.start(Role.INITIATOR, IDA, IDB, PW5, toy, rng=fixed(3))
+    msg = pake.PakeSession(Role.INITIATOR, IDA, IDB, PW5, toy, rng=fixed(3)).start()
     assert msg == bytes([oracles.toy_outbound(3, 5, initiator=True)])
     assert msg == bytes([9])
 
 
 def test_forced_responder_outbound_matches_oracle(toy):
-    _, msg = pake.start(Role.RESPONDER, IDB, IDA, PW5, toy, rng=fixed(3))
+    msg = pake.PakeSession(Role.RESPONDER, IDB, IDA, PW5, toy, rng=fixed(3)).start()
     assert msg == bytes([oracles.toy_outbound(3, 5, initiator=False)])
     assert msg == bytes([12])
 
@@ -95,7 +97,8 @@ def test_phase_transitions(toy):
     assert s.phase is Phase.STARTED
     with pytest.raises(StateError):
         s.start()
-    peer, peer_msg = pake.start(Role.RESPONDER, IDB, IDA, b"pw", toy)
+    peer = pake.PakeSession(Role.RESPONDER, IDB, IDA, b"pw", toy)
+    peer_msg = peer.start()
     s.finish(peer_msg)
     assert s.phase is Phase.KEYED
     assert s.sk is not None
@@ -104,7 +107,8 @@ def test_phase_transitions(toy):
 
 
 def test_finish_decode_failure_fails_session(toy):
-    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    s.start()
     with pytest.raises(DecodeError):
         s.finish(bytes([7]))  # 7 is not in the order-11 subgroup
     assert s.phase is Phase.FAILED
@@ -121,7 +125,8 @@ def test_rejects_empty_inputs(toy):
 
 
 def test_secrets_never_exposed(toy):
-    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"hunter2", toy)
+    s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"hunter2", toy)
+    s.start()
     text = repr(s) + str(s)
     assert "hunter2" not in text
     assert f"_x={s._x}" not in text and f"_pi={s._pi}" not in text
@@ -129,12 +134,13 @@ def test_secrets_never_exposed(toy):
 
 def test_forced_randomness_refused_in_production(production):
     with pytest.raises(ValueError):
-        pake.start(Role.INITIATOR, IDA, IDB, b"pw", production, rng=fixed(3))
+        pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", production, rng=fixed(3))
 
 
 def test_identity_share_is_not_taken_for_a_missing_one(production):
     # RFC 9382: the identity is no valid share on the production group
-    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", production)
+    s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", production)
+    s.start()
     with pytest.raises(DecodeError):
         s.finish(production.encode(production.identity))
     assert s.phase is Phase.FAILED
@@ -143,6 +149,7 @@ def test_identity_share_is_not_taken_for_a_missing_one(production):
 
 def test_toy_group_keeps_its_identity_as_a_share(toy):
     # an honest order-11 run lands on the identity 1 time in 11
-    s, _ = pake.start(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy)
+    s.start()
     assert len(s.finish(toy.encode(toy.identity))) == 32
     assert s.phase is Phase.KEYED

@@ -1,5 +1,7 @@
+import importlib
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from pakemail.relay import (
     encode_frame,
     read_frame,
 )
+from pakemail.transport import RelayTransport, TransportEnvelope, TransportError
 
 
 def test_frame_roundtrip():
@@ -33,6 +36,49 @@ def test_decode_frame_rejects_truncation():
         decode_frame(frame[:-1])
     with pytest.raises(FrameError):
         decode_frame(b"")
+
+
+# one frame per opcode: 4-byte length | opcode | 4-byte length + field, ...
+KNOWN_FRAMES = [
+    (OP_PUT, [b"bob", b"blob"], "00000010" "00" "00000003626f62" "00000004626c6f62"),
+    (OP_GET, [b"bob"], "00000008" "01" "00000003626f62"),
+    (OP_ACK, [b"bob", bytes(8), (1).to_bytes(8, "big")],
+     "00000020" "02" "00000003626f62" "000000080000000000000000" "000000080000000000000001"),
+    (OP_OK, [], "00000001" "03"),
+    (OP_ERR, [b"no"], "00000007" "04" "000000026e6f"),
+    (OP_LIST, [bytes(8), b"blob"], "00000015" "05" "000000080000000000000000" "00000004626c6f62"),
+]
+
+
+@pytest.mark.parametrize("opcode, fields, frame_hex", KNOWN_FRAMES)
+def test_frame_known_answers(opcode, fields, frame_hex):
+    frame = bytes.fromhex(frame_hex)
+    assert encode_frame(opcode, fields) == frame
+    assert decode_frame(frame[4:]) == (opcode, fields)
+
+
+# put(bob, "one"), put(carol, "two"), ack(bob, [id 0])
+KNOWN_LOG = bytes.fromhex(
+    "0000000f" "00" "00000003626f62" "000000036f6e65"
+    "00000011" "00" "000000056361726f6c" "0000000374776f"
+    "00000014" "02" "00000003626f62" "000000080000000000000000")
+
+
+def test_relay_log_known_answer(tmp_path):
+    log = tmp_path / "relay.log"
+    store = MailboxStore(log)
+    first = store.put(b"bob", b"one")
+    store.put(b"carol", b"two")
+    store.ack(b"bob", [first])
+    store.close()
+    assert log.read_bytes() == KNOWN_LOG
+
+    replayed = tmp_path / "replayed.log"
+    replayed.write_bytes(KNOWN_LOG)
+    reborn = MailboxStore(replayed)
+    assert reborn.get(b"bob") == []
+    assert reborn.get(b"carol") == [((1).to_bytes(8, "big"), b"two")]
+    reborn.close()
 
 
 def test_store_put_get_ack():
@@ -73,6 +119,87 @@ def test_store_tolerates_truncated_log_tail(tmp_path):
     log.write_bytes(log.read_bytes() + b"\x00\x00\x00\x09partial")
     reborn = MailboxStore(log)
     assert [blob for _, blob in reborn.get(b"bob")] == [b"whole"]
+    reborn.close()
+
+
+def _blobs(store, recipient=b"bob"):
+    return [blob for _, blob in store.get(recipient)]
+
+
+def test_store_cuts_a_torn_tail_before_appending(tmp_path):
+    # a crash mid-append leaves a prefix of the last frame; later appends
+    # must not land behind it, or every later restart misreads the log
+    torn = encode_frame(OP_PUT, [b"bob", b"torn"])
+    for cut in range(1, len(torn)):
+        log = tmp_path / f"relay-{cut}.log"
+        log.write_bytes(encode_frame(OP_PUT, [b"bob", b"whole"]) + torn[:cut])
+        store = MailboxStore(log)
+        assert _blobs(store) == [b"whole"]
+        store.put(b"bob", b"after")
+        store.close()
+        for _ in range(2):
+            reborn = MailboxStore(log)
+            assert _blobs(reborn) == [b"whole", b"after"]
+            reborn.close()
+
+
+@pytest.mark.parametrize("bad_frame", [
+    # intact outer length, but the field inside claims more bytes than follow
+    bytes.fromhex("00000017" "00" "00000003626f62" "00000040") + b"SECRET-BLOB",
+    encode_frame(OP_PUT, [b"SECRET-BLOB"]),  # PUT with one field
+    encode_frame(42, [b"SECRET-BLOB"]),
+    bytes(4),  # empty frame
+], ids=["undecodable", "put-one-field", "unknown-opcode", "empty"])
+def test_store_skips_a_malformed_middle_frame(tmp_path, caplog, bad_frame):
+    log = tmp_path / "relay.log"
+    log.write_bytes(encode_frame(OP_PUT, [b"bob", b"before"]) + bad_frame
+                    + encode_frame(OP_PUT, [b"bob", b"after"]))
+    with caplog.at_level("WARNING", logger="pakemail.relay"):
+        store = MailboxStore(log)
+    assert _blobs(store) == [b"before", b"after"]
+    assert any("skipped" in rec.getMessage() for rec in caplog.records)
+    assert "SECRET" not in caplog.text
+    store.put(b"bob", b"later")
+    store.close()
+    reborn = MailboxStore(log)
+    assert _blobs(reborn) == [b"before", b"after", b"later"]
+    reborn.close()
+
+
+class _FailingLog:
+    """A log handle whose next write lands half its bytes, then fails."""
+
+    def __init__(self, real):
+        self.real = real
+
+    def write(self, data):
+        self.real.write(data[:len(data) // 2])
+        self.real.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+
+def test_failed_log_append_answers_err_and_stores_nothing(tmp_path):
+    log = tmp_path / "relay.log"
+    store = MailboxStore(log)
+    store.put(b"b@x", b"kept")
+    store._log = _FailingLog(store._log)
+    envelope = TransportEnvelope(bytes(16), 9, b"a@x", b"b@x", b"lost")
+    with RelayServer(store=store) as srv:
+        with pytest.raises(TransportError, match="relay error"):
+            RelayTransport(*srv.address).send(envelope)
+        assert _blobs(store, b"b@x") == [b"kept"]
+        with socket.create_connection(srv.address) as sock:
+            assert _rpc(sock, OP_PUT, [b"bob", b"lost too"])[0] == OP_ERR
+            # the handler survived: the same connection still answers
+            assert _rpc(sock, OP_GET, [b"bob"]) == (OP_LIST, [])
+            store._log = store._log.real
+            assert _rpc(sock, OP_PUT, [b"bob", b"stored"]) == (OP_OK, [])
+    reborn = MailboxStore(log)
+    assert _blobs(reborn, b"b@x") == [b"kept"]
+    assert _blobs(reborn) == [b"stored"]
     reborn.close()
 
 
@@ -130,8 +257,11 @@ def test_server_concurrent_puts():
 
 
 def test_relay_module_is_crypto_free():
-    # the relay must stay oblivious: it routes blobs, it never touches keys
-    source = open(relay.__file__, encoding="utf-8").read()
-    for forbidden in ("groups", "pake", "confirm", "sealed", "hashlib", "hmac",
-                      "cryptography"):
-        assert forbidden not in source
+    # the relay and the codec it uses must stay oblivious: they route blobs,
+    # they never touch keys
+    for name in ("relay", "wire"):
+        module = importlib.import_module(f"pakemail.{name}")
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        for forbidden in ("groups", "pake", "confirm", "sealed", "hashlib", "hmac",
+                          "cryptography"):
+            assert forbidden not in source, (name, forbidden)

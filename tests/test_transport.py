@@ -1,4 +1,7 @@
+import email
+import imaplib
 import secrets
+import smtplib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +9,9 @@ from hypothesis import given, strategies as st
 from pakemail.confirm import Fingerprint
 from pakemail.transport import (
     EnvelopeError,
+    ImapSmtpTransport,
     LoopbackTransport,
+    MailAccountConfig,
     MaildirTransport,
     NotPakeMailMessage,
     RelayTransport,
@@ -164,3 +169,158 @@ def test_relay_transport_unreachable():
         backend.send(env())
     with pytest.raises(TransportError):
         backend.poll(b"b@x")
+
+
+# ---------------------------------------------------------------------------
+# Known-answer envelopes: magic | exchange id | flow | 4-byte length + field
+# for sender, recipient, fingerprint (empty when absent) and payload
+# ---------------------------------------------------------------------------
+
+KNOWN_ENVELOPES = [
+    (TransportEnvelope(bytes(range(16)), 0, b"a@x", b"b@x", bytes.fromhex("02000000"),
+                       Fingerprint(bytes(range(0xa0, 0xb4)))),
+     "504b4d4c31" "000102030405060708090a0b0c0d0e0f" "00" "00000003614078" "00000003624078"
+     "00000014a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3" "0000000402000000"),
+    (TransportEnvelope(bytes(range(16)), 3, b"a@x", b"b@x", b"tag"),
+     "504b4d4c31" "000102030405060708090a0b0c0d0e0f" "03" "00000003614078" "00000003624078"
+     "00000000" "00000003746167"),
+]
+
+
+@pytest.mark.parametrize("envelope, wire_hex", KNOWN_ENVELOPES, ids=["fingerprint", "none"])
+def test_envelope_known_answers(envelope, wire_hex):
+    assert envelope.to_bytes() == bytes.fromhex(wire_hex)
+    assert TransportEnvelope.from_bytes(bytes.fromhex(wire_hex)) == envelope
+
+
+# ---------------------------------------------------------------------------
+# IMAP/SMTP against in-process fakes of smtplib.SMTP_SSL and imaplib.IMAP4_SSL
+# ---------------------------------------------------------------------------
+
+ACCOUNT = MailAccountConfig("smtp.example", 465, "imap.example", 993, "b@x", "app-password")
+
+
+class FakeMailbox:
+    """One account's mail: [raw message, seen] pairs, plus the logins made."""
+
+    def __init__(self):
+        self.messages = []
+        self.logins = []
+
+    def deliver(self, raw: bytes):
+        self.messages.append([raw, False])
+
+
+class FakeSMTP:
+    def __init__(self, mailbox, host, port):
+        self.mailbox, self.address = mailbox, (host, port)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def login(self, user, password):
+        self.mailbox.logins.append(("smtp", self.address, user, password))
+
+    def sendmail(self, from_addr, to_addrs, msg):
+        assert (from_addr, to_addrs) == ("a@x", ["b@x"])
+        self.mailbox.deliver(msg)
+
+
+class FakeIMAP(FakeSMTP):
+    def login(self, user, password):
+        self.mailbox.logins.append(("imap", self.address, user, password))
+
+    def select(self, box):
+        assert box == "INBOX"
+        return "OK", [str(len(self.mailbox.messages)).encode()]
+
+    def search(self, charset, *criteria):
+        assert criteria == ("UNSEEN", 'SUBJECT "PAKEMAIL"')
+        hits = [str(n).encode() for n, (raw, seen) in enumerate(self.mailbox.messages, 1)
+                if not seen and "PAKEMAIL" in email.message_from_bytes(raw)["Subject"].upper()]
+        return "OK", [b" ".join(hits)]
+
+    def fetch(self, num, parts):
+        assert parts == "(RFC822)"
+        raw = self.mailbox.messages[int(num) - 1][0]
+        return "OK", [(num + b" (RFC822 {%d}" % len(raw), raw), b")"]
+
+    def store(self, num, command, flags):
+        assert (command, flags) == ("+FLAGS", "\\Seen")
+        self.mailbox.messages[int(num) - 1][1] = True
+        return "OK", [num]
+
+
+@pytest.fixture
+def mailbox(monkeypatch):
+    box = FakeMailbox()
+    monkeypatch.setattr(smtplib, "SMTP_SSL", lambda host, port: FakeSMTP(box, host, port))
+    monkeypatch.setattr(imaplib, "IMAP4_SSL", lambda host, port: FakeIMAP(box, host, port))
+    return box
+
+
+def test_imap_smtp_send_then_poll(mailbox):
+    backend = ImapSmtpTransport(ACCOUNT)
+    e = env(payload=secrets.token_bytes(48))
+    backend.send(e)
+    assert len(mailbox.messages) == 1
+    assert decode_email(mailbox.messages[0][0]) == e
+    assert backend.poll(b"b@x") == [e]
+    assert mailbox.messages[0][1]  # marked \Seen
+    assert backend.poll(b"b@x") == []
+    assert mailbox.logins == [
+        ("smtp", ("smtp.example", 465), "b@x", "app-password"),
+        ("imap", ("imap.example", 993), "b@x", "app-password"),
+        ("imap", ("imap.example", 993), "b@x", "app-password"),
+    ]
+
+
+def test_imap_poll_returns_only_envelopes_and_marks_the_rest_seen(mailbox):
+    e = env()
+    mailbox.deliver(b"Subject: Re: PAKEMAIL setup\r\nFrom: c@x\r\nTo: b@x\r\n\r\nlunch?")
+    mailbox.deliver(b"Subject: PAKEMAIL " + e.exchange_id.hex().encode()
+                    + b" 0\r\nFrom: a@x\r\nTo: b@x\r\n\r\nno attachment")
+    mailbox.deliver(encode_email(e))
+    mailbox.deliver(b"Subject: unrelated\r\n\r\nhello")
+    assert ImapSmtpTransport(ACCOUNT).poll(b"b@x") == [e]
+    assert [seen for _, seen in mailbox.messages] == [True, True, True, False]
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc", [
+    ("smtp-connect", ConnectionRefusedError("refused")),
+    ("smtp-login", smtplib.SMTPAuthenticationError(535, b"bad credentials")),
+    ("imap-connect", OSError("network unreachable")),
+    ("imap-login", imaplib.IMAP4.error("LOGIN failed")),
+])
+def test_imap_smtp_failures_become_transport_errors(mailbox, monkeypatch, target, exc):
+    patched = {"smtp-connect": (smtplib, "SMTP_SSL"), "smtp-login": (FakeSMTP, "login"),
+               "imap-connect": (imaplib, "IMAP4_SSL"), "imap-login": (FakeIMAP, "login")}
+    monkeypatch.setattr(*patched[target], _raise(exc))
+    backend = ImapSmtpTransport(ACCOUNT)
+    with pytest.raises(TransportError):
+        if target.startswith("smtp"):
+            backend.send(env())
+        else:
+            backend.poll(b"b@x")
+
+
+MAIL_ENV = {"PAKEMAIL_SMTP_HOST": "smtp.example", "PAKEMAIL_IMAP_HOST": "imap.example",
+            "PAKEMAIL_SMTP_USER": "b@x", "PAKEMAIL_SMTP_PASSWORD": "app-password"}
+
+
+@pytest.mark.parametrize("missing", sorted(MAIL_ENV))
+def test_mail_config_from_env_names_a_missing_variable(monkeypatch, missing):
+    for name, value in MAIL_ENV.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.delenv(missing)
+    with pytest.raises(TransportError, match=missing):
+        MailAccountConfig.from_env()
