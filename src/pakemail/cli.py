@@ -159,6 +159,8 @@ def cmd_auth(args, config: ClientConfig) -> int:
     except TransportError as exc:
         print(f"FAILURE: transport: {exc}")
         return EXIT_TRANSPORT
+    finally:
+        manager.backend.close()
     print(_VERDICTS[result.outcome])
     if result.outcome is Outcome.SUCCESS:
         record = manager.keystore.peer(args.peer.encode())
@@ -180,6 +182,8 @@ def cmd_renew(args, config: ClientConfig) -> int:
     except TransportError as exc:
         print(f"FAILURE: transport: {exc}")
         return EXIT_TRANSPORT
+    finally:
+        manager.backend.close()
     print(_VERDICTS[result.outcome])
     if result.fallback_to_manual:
         print("chained keys diverged; fall back to manual `pakemail auth`")
@@ -242,6 +246,8 @@ def cmd_send(args, config: ClientConfig) -> int:
     except TransportError as exc:
         print(f"FAILURE: transport: {exc}")
         return EXIT_TRANSPORT
+    finally:
+        manager.backend.close()
     print("sent")
     return EXIT_OK
 
@@ -253,6 +259,8 @@ def cmd_recv(args, config: ClientConfig) -> int:
     except TransportError as exc:
         print(f"FAILURE: transport: {exc}")
         return EXIT_TRANSPORT
+    finally:
+        manager.backend.close()
     for sender, plaintext in messages:
         print(f"{sender.decode(errors='replace')}: {plaintext.decode(errors='replace')}")
     return EXIT_OK

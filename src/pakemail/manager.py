@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import logging
 import os
 import secrets
 import tempfile
@@ -37,7 +38,11 @@ from .transport import (
 
 KEYSTORE_HEADER = "pakemail-keystore v2"
 _V1_HEADER = "pakemail-keystore v1"
-POLL_INTERVAL = 0.005  # seconds between a session manager's backend polls
+# the longest single backend wait: a thread serving another peer may have
+# moved this thread's envelope into the shared inbox, and would not wake it
+POLL_INTERVAL = 0.005
+
+logger = logging.getLogger(__name__)
 
 
 class ManagerError(Exception):
@@ -490,24 +495,27 @@ class SessionManager:
         """Block until a matching flow arrives or the deadline passes.
 
         With ``exchange_id=None`` (responder waiting for a first flow) any
-        exchange from ``sender`` matches. Early-arriving later flows stay
-        buffered in the inbox.
+        exchange from ``sender`` matches, and the one that arrived last wins:
+        older ones are openings the sender has given up on, and are dropped
+        as superseded. Early-arriving later flows stay buffered in the inbox.
         """
         while True:
             with self._inbox_lock:
                 self._collect()
-                for key, env in self._inbox.items():
-                    if key[1] != flow:
-                        continue
-                    if exchange_id is not None and key[0] != exchange_id:
-                        continue
-                    if sender is not None and env.sender != sender:
-                        continue
-                    self._processed.add(key)
-                    return self._inbox.pop(key)
-            if time.monotonic() >= deadline:
+                matches = [key for key, env in self._inbox.items()
+                           if key[1] == flow
+                           and (exchange_id is None or key[0] == exchange_id)
+                           and (sender is None or env.sender == sender)]
+                if matches:  # in arrival order, as the inbox keeps them
+                    *superseded, newest = matches
+                    for key in superseded:
+                        del self._inbox[key]
+                    self._processed.update(matches)
+                    return self._inbox.pop(newest)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return None
-            time.sleep(POLL_INTERVAL)
+            self.backend.wait(self.identity, min(remaining, POLL_INTERVAL))
 
     def _send(self, peer: bytes, exchange_id: bytes, flow: int, payload: bytes,
               with_fingerprint: bool = False) -> None:
@@ -659,7 +667,11 @@ class SessionManager:
         self._send(peer, fresh_exchange_id(), FLOW_DATA, blob)
 
     def recv_sealed(self, timeout: float = 5.0) -> list[tuple[bytes, bytes]]:
-        """Collect data messages; returns (sender, plaintext) pairs."""
+        """Collect data messages; returns (sender, plaintext) pairs.
+
+        A message that does not open is logged and dropped; the rest of its
+        batch is still returned.
+        """
         deadline = time.monotonic() + timeout
         out = []
         while True:
@@ -672,8 +684,13 @@ class SessionManager:
                     record = self.keystore.peer(env.sender)
                     if record.chained_key is None:
                         continue
-                    out.append((env.sender, sealed.open_sealed(
-                        record.chained_key, sealed.SealedMessage.from_bytes(env.payload))))
-            if out or time.monotonic() >= deadline:
+                    try:
+                        out.append((env.sender, sealed.open_sealed(
+                            record.chained_key, sealed.SealedMessage.from_bytes(env.payload))))
+                    except sealed.SealError:
+                        logger.warning("dropped a sealed message from %r (exchange %s) "
+                                       "that did not open", env.sender, env.exchange_id.hex())
+            remaining = deadline - time.monotonic()
+            if out or remaining <= 0:
                 return out
-            time.sleep(POLL_INTERVAL)
+            self.backend.wait(self.identity, min(remaining, POLL_INTERVAL))

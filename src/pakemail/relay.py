@@ -12,11 +12,16 @@ holding a 1-byte opcode followed by the packed fields of the request.
     GET  recipient                -> LIST id1, blob1, id2, blob2, ...
     ACK  recipient, id1, id2, ... -> OK   (acknowledged blobs are removed)
 
-Malformed frames get an ERR reply and the connection survives.
+A connection carries any number of requests, one reply each, until the
+client closes it or the server stops. A malformed frame gets an ERR reply
+and the connection survives. A length over ``MAX_FRAME`` gets an ERR reply
+and the connection is closed: the refused body is never read, so the bytes
+after it cannot be told apart from requests.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import socket
@@ -169,25 +174,52 @@ class _RelayHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:
         store: MailboxStore = self.server.store  # type: ignore[attr-defined]
+        read = functools.partial(_recv_exact, self.request)
         while True:
             try:
-                opcode, fields = read_frame(self.request)
+                body = wire.read_field(read, MAX_FRAME)
             except OSError:
                 return
+            except FrameError as exc:  # oversized: the stream cannot be resynchronised
+                with contextlib.suppress(OSError):
+                    self.request.sendall(encode_frame(OP_ERR, [str(exc).encode()]))
+                return
+            try:
+                reply = store.apply(*decode_frame(body))
             except FrameError as exc:
                 reply = encode_frame(OP_ERR, [str(exc).encode()])
-            else:
-                try:
-                    reply = store.apply(opcode, fields)
-                except FrameError as exc:
-                    reply = encode_frame(OP_ERR, [str(exc).encode()])
-                except OSError as exc:  # the log append failed, nothing was applied
-                    logger.error("relay log append failed: %s", exc)
-                    reply = encode_frame(OP_ERR, [b"relay log append failed"])
+            except OSError as exc:  # the log append failed, nothing was applied
+                logger.error("relay log append failed: %s", exc)
+                reply = encode_frame(OP_ERR, [b"relay log append failed"])
             try:
                 self.request.sendall(reply)
             except OSError:
                 return
+
+
+class _TCPServer(socketserver.ThreadingTCPServer):
+    """One daemon thread per connection; remembers each open connection's thread."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, bind_address, store: MailboxStore) -> None:
+        self.store = store
+        self.connections: dict[socket.socket, threading.Thread] = {}
+        self.connections_lock = threading.Lock()
+        super().__init__(bind_address, _RelayHandler)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self.connections_lock:
+            self.connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self.connections_lock:
+            self.connections.pop(request, None)
+        super().shutdown_request(request)
 
 
 class RelayServer:
@@ -195,13 +227,7 @@ class RelayServer:
 
     def __init__(self, bind_address=("127.0.0.1", 0), store: MailboxStore | None = None):
         self.store = store if store is not None else MailboxStore()
-        self._server = socketserver.ThreadingTCPServer(bind_address, _RelayHandler,
-                                                       bind_and_activate=False)
-        self._server.allow_reuse_address = True
-        self._server.daemon_threads = True
-        self._server.store = self.store  # type: ignore[attr-defined]
-        self._server.server_bind()
-        self._server.server_activate()
+        self._server = _TCPServer(bind_address, self.store)
         self._thread: threading.Thread | None = None
 
     @property
@@ -214,10 +240,18 @@ class RelayServer:
         return self
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        """Stop accepting, end every open connection, then close the store."""
         if self._thread is not None:
+            self._server.shutdown()  # no connection is accepted after this
             self._thread.join(timeout=5)
+        self._server.server_close()
+        with self._server.connections_lock:
+            connections = list(self._server.connections.items())
+        for sock, _ in connections:
+            with contextlib.suppress(OSError):  # wakes a handler blocked in recv
+                sock.shutdown(socket.SHUT_RDWR)
+        for _, thread in connections:
+            thread.join(timeout=5)  # a request already read is applied before the close
         self.store.close()
 
     def __enter__(self) -> "RelayServer":

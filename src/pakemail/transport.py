@@ -5,6 +5,11 @@ for tests, a maildir mailbox with MIME-attachment carriers, an opt-in
 IMAP/SMTP client, and a client for the untrusted relay server. Delivery is
 at-least-once with no ordering guarantee; the session layer tolerates
 duplicates and reordering.
+
+``wait(recipient, timeout)`` blocks until mail for the recipient may be
+there: loopback wakes on delivery, every other backend sleeps the timeout.
+The relay client keeps one connection and reopens it once if the relay
+dropped it.
 """
 
 from __future__ import annotations
@@ -110,30 +115,43 @@ class TransportBackend:
     def poll(self, recipient: bytes) -> list[TransportEnvelope]:
         raise NotImplementedError
 
+    def wait(self, recipient: bytes, timeout: float) -> None:
+        """Block until mail for ``recipient`` may be there or ``timeout`` passes."""
+        time.sleep(timeout)
+
+    def close(self) -> None:
+        """Release a connection kept between calls; most backends keep none."""
+
 
 # ---------------------------------------------------------------------------
 # Loopback
 # ---------------------------------------------------------------------------
 
 class LoopbackTransport(TransportBackend):
-    """In-memory mailbox map; immediate delivery, thread-safe."""
+    """In-memory mailbox map; immediate delivery, thread-safe; a send wakes waiters."""
 
     def __init__(self) -> None:
         self._boxes: dict[bytes, deque] = {}
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
 
     def send(self, envelope: TransportEnvelope) -> None:
         blob = envelope.to_bytes()  # serialize up front to mimic the wire
-        with self._lock:
+        with self._cond:
             self._boxes.setdefault(bytes(envelope.recipient), deque()).append(blob)
+            self._cond.notify_all()
 
     def poll(self, recipient: bytes) -> list[TransportEnvelope]:
-        with self._lock:
+        with self._cond:
             box = self._boxes.get(bytes(recipient))
             blobs = list(box) if box else []
             if box:
                 box.clear()
         return [TransportEnvelope.from_bytes(b) for b in blobs]
+
+    def wait(self, recipient: bytes, timeout: float) -> None:
+        recipient = bytes(recipient)
+        with self._cond:
+            self._cond.wait_for(lambda: self._boxes.get(recipient), timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +335,49 @@ class ImapSmtpTransport(TransportBackend):
 # ---------------------------------------------------------------------------
 
 class RelayTransport(TransportBackend):
-    """Client for the store-and-forward relay: PUT on send, GET+ACK on poll."""
+    """Client for the store-and-forward relay: PUT on send, GET+ACK on poll.
+
+    One connection, opened on first use, carries every request; a lock keeps
+    requests from interleaving on it. If the relay closed a connection that
+    served earlier requests, the request is sent once more on a fresh one: a
+    PUT may then be stored twice, which the session layer drops as a
+    duplicate. Any other failure closes the connection.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
+        self._sock: socket.socket | None = None
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()
+
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._sock.close()
+            self._sock = None
+
+    def _request(self, frame: bytes) -> tuple[int, list[bytes]]:
+        if self._sock is not None:
+            try:
+                self._sock.sendall(frame)
+                return relay.read_frame(self._sock)
+            except ConnectionError:  # the relay closed the kept connection
+                self._drop()
+        self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+        self._sock.sendall(frame)
+        return relay.read_frame(self._sock)
 
     def _roundtrip(self, frame: bytes) -> tuple[int, list[bytes]]:
-        try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
-                sock.sendall(frame)
-                opcode, fields = relay.read_frame(sock)
-        except OSError as exc:
-            raise TransportError(f"relay unreachable: {exc}") from exc
+        with self._lock:
+            try:
+                opcode, fields = self._request(frame)
+            except (OSError, relay.FrameError) as exc:
+                self._drop()  # the stream's state is unknown
+                raise TransportError(f"relay unreachable: {exc}") from exc
         if opcode == relay.OP_ERR:
             raise TransportError(f"relay error: {fields[0].decode(errors='replace')}")
         return opcode, fields

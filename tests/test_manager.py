@@ -1,9 +1,10 @@
+import logging
 import sys
 import threading
 
 import pytest
 
-from pakemail import manager
+from pakemail import manager, sealed
 from pakemail.manager import (
     AttemptPolicy,
     AuthResult,
@@ -17,7 +18,15 @@ from pakemail.manager import (
     assign_role,
 )
 from pakemail.pake import Role, password_context
-from pakemail.transport import FLOW_RESPONDER_TAG, LoopbackTransport, TransportEnvelope
+from pakemail.transport import (
+    FLOW_DATA,
+    FLOW_INITIATOR_PAKE,
+    FLOW_RESPONDER_PAKE,
+    FLOW_RESPONDER_TAG,
+    LoopbackTransport,
+    TransportEnvelope,
+    fresh_exchange_id,
+)
 
 IDA, IDB = b"a@x", b"b@x"
 
@@ -354,6 +363,40 @@ def test_one_manager_serves_two_peers_on_threads(tmp_path, toy):
         assert len(theirs) == len(set(theirs)) == 5 and set(theirs) <= set(ids)
 
 
+def test_responder_answers_the_newest_opening_from_a_sender(tmp_path, toy):
+    sent = []
+    retry_sent = threading.Event()
+
+    class Recording(LoopbackTransport):
+        def send(self, env):
+            sent.append(env)
+            super().send(env)
+            if sum(e.flow == FLOW_INITIATOR_PAKE for e in sent) == 2:
+                retry_sent.set()
+
+    ma, mb = make_pair(tmp_path, toy, backend=Recording())
+    # the initiator gives up once; its opening ends up buffered at the
+    # long-lived responder
+    stale = ma.authenticate(IDB, b"pw", timeout=0.05)
+    assert stale.outcome is Outcome.ABORTED_BY_TIMEOUT
+    assert mb.recv_sealed(timeout=0) == []
+
+    results = {}
+    retry = threading.Thread(
+        target=lambda: results.setdefault("a", ma.authenticate(IDB, b"pw", timeout=2.0)))
+    retry.start()
+    assert retry_sent.wait(5.0)
+    rb = mb.authenticate(IDA, b"pw", timeout=2.0)
+    retry.join(10.0)
+    assert not retry.is_alive()
+    assert results["a"].outcome is Outcome.SUCCESS and rb.outcome is Outcome.SUCCESS
+    assert results["a"].key == rb.key
+    # the stale opening was superseded: never answered, not even later
+    assert not any(e.flow == FLOW_RESPONDER_PAKE and e.exchange_id == stale.exchange_id
+                   for e in sent)
+    assert mb.authenticate(IDA, b"pw", timeout=0.05).outcome is Outcome.ABORTED_BY_TIMEOUT
+
+
 def test_duplicate_and_reordered_envelopes_tolerated(tmp_path, toy):
     class NoisyBackend(LoopbackTransport):
         def send(self, env):
@@ -494,6 +537,23 @@ def test_sealed_roundtrip_after_auth(tmp_path, toy):
     ma.send_sealed(IDB, b"attack at dawn")
     got = mb.recv_sealed(timeout=2.0)
     assert got == [(IDA, b"attack at dawn")]
+
+
+def test_a_sealed_message_that_does_not_open_does_not_lose_the_batch(tmp_path, toy, caplog):
+    ma, mb = make_pair(tmp_path, toy)
+    run_both(ma, mb, b"pw", b"pw")
+    key = ma.keystore.peer(IDB).chained_key
+    forged = bytearray(sealed.seal(key, b"forged").to_bytes())
+    forged[-1] ^= 1
+    bad = TransportEnvelope(fresh_exchange_id(), FLOW_DATA, IDA, IDB, bytes(forged))
+    ma.send_sealed(IDB, b"first")
+    ma.backend.send(bad)
+    ma.send_sealed(IDB, b"second")
+    with caplog.at_level(logging.WARNING, logger="pakemail.manager"):
+        got = mb.recv_sealed(timeout=2.0)
+    assert got == [(IDA, b"first"), (IDA, b"second")]
+    assert bad.exchange_id.hex() in caplog.text and repr(IDA) in caplog.text
+    assert key.hex() not in caplog.text and repr(key)[2:-1] not in caplog.text
 
 
 def test_in_pi_binding_needs_known_fingerprint(tmp_path, toy):

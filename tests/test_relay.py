@@ -13,6 +13,7 @@ from pakemail.relay import (
     OP_LIST,
     OP_OK,
     OP_PUT,
+    MAX_FRAME,
     FrameError,
     MailboxStore,
     RelayServer,
@@ -233,6 +234,71 @@ def test_server_survives_malformed_frames():
         assert op == OP_ERR
         # the same connection still works afterwards
         assert _rpc(sock, OP_PUT, [b"bob", b"still alive"]) == (OP_OK, [])
+
+
+def test_oversized_length_closes_the_connection():
+    with RelayServer() as srv, socket.create_connection(srv.address, timeout=5) as sock:
+        sock.sendall((MAX_FRAME + 1).to_bytes(4, "big"))
+        assert read_frame(sock)[0] == OP_ERR
+        # the bytes after a refused length are never read as requests
+        hidden = b"".join(encode_frame(OP_PUT, [b"bob", b"hidden %d" % i]) for i in range(3))
+        try:
+            sock.sendall(hidden)
+            tail = sock.recv(1)
+        except ConnectionError:
+            tail = b""
+        assert tail == b""
+        assert srv.store.get(b"bob") == []
+
+
+def _envelope(n: int) -> TransportEnvelope:
+    return TransportEnvelope(n.to_bytes(16, "big"), 9, b"a@x", b"b@x", b"%d" % n)
+
+
+def test_relay_client_keeps_one_connection(monkeypatch):
+    accepted = []
+    handle = relay._RelayHandler.handle
+
+    def counting(self):
+        accepted.append(self.client_address)
+        handle(self)
+
+    monkeypatch.setattr(relay._RelayHandler, "handle", counting)
+    with RelayServer() as srv:
+        client = RelayTransport(*srv.address)
+        for n in range(10):
+            client.send(_envelope(n))
+            assert client.poll(b"b@x") == [_envelope(n)]
+        client.close()
+    assert len(accepted) == 1
+
+
+def test_relay_client_replaces_a_dropped_connection():
+    first = RelayServer().start()
+    host, port = first.address
+    client = RelayTransport(host, port)
+    client.send(_envelope(1))
+    first.stop()  # ends the connection the client keeps
+    with RelayServer((host, port)) as second:
+        client.send(_envelope(2))
+        assert client.poll(b"b@x") == [_envelope(2)]
+        assert _blobs(second.store, b"b@x") == []
+    client.close()
+
+
+def test_stopped_relay_refuses_the_next_request(tmp_path):
+    log = tmp_path / "relay.log"
+    srv = RelayServer(store=MailboxStore(log)).start()
+    client = RelayTransport(*srv.address)
+    client.send(_envelope(1))
+    srv.stop()
+    with pytest.raises(TransportError):
+        client.send(_envelope(2))
+    assert _blobs(srv.store, b"b@x") == [_envelope(1).to_bytes()]
+    reborn = MailboxStore(log)
+    assert _blobs(reborn, b"b@x") == [_envelope(1).to_bytes()]
+    reborn.close()
+    client.close()
 
 
 def test_server_concurrent_puts():

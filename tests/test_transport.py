@@ -2,6 +2,7 @@ import email
 import imaplib
 import secrets
 import smtplib
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -89,6 +90,29 @@ def test_loopback_interleaved_sessions():
 # ---------------------------------------------------------------------------
 # Email encoding
 # ---------------------------------------------------------------------------
+
+def test_loopback_wait_wakes_on_delivery():
+    backend = LoopbackTransport()
+    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 30))
+    waiter.start()
+    backend.send(env(recipient=b"c@x"))  # mail for someone else does not release it
+    waiter.join(0.2)
+    assert waiter.is_alive()
+    backend.send(env(recipient=b"b@x"))
+    waiter.join(5)
+    assert not waiter.is_alive()
+    backend.wait(b"b@x", 30)  # mail already there: no wait at all
+    assert len(backend.poll(b"b@x")) == 1  # waiting takes nothing out
+
+
+def test_loopback_wait_without_mail_returns_after_its_timeout():
+    backend = LoopbackTransport()
+    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 0.01))
+    waiter.start()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    assert backend.poll(b"b@x") == []
+
 
 def test_email_roundtrip():
     for flow in (0, 1, 2, 3, 9):
