@@ -7,16 +7,19 @@ at-least-once with no ordering guarantee; the session layer tolerates
 duplicates and reordering.
 
 ``wait(recipient, timeout)`` blocks until mail for the recipient may be
-there: loopback wakes on delivery, every other backend sleeps the timeout.
-The relay client keeps one connection and reopens it once if the relay
-dropped it.
+there: loopback wakes on delivery, maildir when a new name appears in the
+recipient's ``new/``, and the other backends sleep the timeout. The relay
+client keeps one connection and reopens it once if the relay dropped it.
+
+Maildir and IMAP/SMTP carry identities in mail headers, so there a sender
+or recipient must be printable ASCII without leading or trailing spaces and
+at most 900 bytes long; the e-mail encoder refuses any other identity.
 """
 
 from __future__ import annotations
 
 import base64
 import email
-import email.message
 import email.utils
 import logging
 import os
@@ -44,6 +47,11 @@ VALID_FLOWS = (0, 1, 2, 3, 9)
 
 _SUBJECT_RE = re.compile(r"^PAKEMAIL ([0-9a-f]{32}) (\d)$")
 _ENVELOPE_MAGIC = b"PKML1"
+# a header line stays well under RFC 5322's 998-octet limit without folding
+MAX_HEADER_IDENTITY = 900
+_TEXT_PART = "This message carries authentication data; it is processed automatically."
+# how often MaildirTransport.wait lists the recipient's new/ directory
+MAILDIR_WAIT_STEP = 0.0005
 
 
 class TransportError(Exception):
@@ -158,23 +166,52 @@ class LoopbackTransport(TransportBackend):
 # Email encoding (shared by maildir and IMAP/SMTP backends)
 # ---------------------------------------------------------------------------
 
+def _header_identity(identity: bytes) -> str:
+    text = identity.decode("ascii", "replace")
+    if not (identity.isascii() and text.isprintable() and text == text.strip()
+            and len(identity) <= MAX_HEADER_IDENTITY):
+        raise EnvelopeError(f"identity {identity[:40]!r} cannot travel in a mail header: it "
+                            f"must be printable ASCII without edge spaces, at most "
+                            f"{MAX_HEADER_IDENTITY} bytes")
+    return text
+
+
 def encode_email(envelope: TransportEnvelope) -> bytes:
     """RFC-5322 message with the payload as a base64 attachment.
 
     Subject grammar is bit-exact: ``PAKEMAIL <32 hex chars> <digit>``; the
-    sender fingerprint rides in ``X-PakeMail-Fpr`` on flows 0-1.
+    sender fingerprint rides in ``X-PakeMail-Fpr`` on flows 0-1. Built by
+    hand with ``\\n`` line endings: a ``multipart/mixed`` body holding one
+    text part and the ``pakemail.bin`` attachment, base64 in 76-character
+    lines. Raises :class:`EnvelopeError` for an identity a header cannot
+    carry.
     """
-    msg = email.message.EmailMessage()
-    msg["From"] = envelope.sender.decode("utf-8", "replace")
-    msg["To"] = envelope.recipient.decode("utf-8", "replace")
-    msg["Subject"] = f"PAKEMAIL {envelope.exchange_id.hex()} {envelope.flow}"
-    msg["Date"] = email.utils.formatdate()
-    if envelope.fingerprint is not None:
-        msg["X-PakeMail-Fpr"] = envelope.fingerprint.hex
-    msg.set_content("This message carries authentication data; it is processed automatically.")
-    msg.add_attachment(envelope.payload, maintype="application",
-                       subtype="octet-stream", filename="pakemail.bin")
-    return msg.as_bytes()
+    sender = _header_identity(envelope.sender)
+    recipient = _header_identity(envelope.recipient)
+    fpr = "" if envelope.fingerprint is None else f"X-PakeMail-Fpr: {envelope.fingerprint.hex}\n"
+    boundary = secrets.token_hex(16)
+    head = (f"From: {sender}\n"
+            f"To: {recipient}\n"
+            f"Subject: PAKEMAIL {envelope.exchange_id.hex()} {envelope.flow}\n"
+            f"Date: {email.utils.formatdate()}\n"
+            f"{fpr}"
+            "MIME-Version: 1.0\n"
+            f'Content-Type: multipart/mixed; boundary="{boundary}"\n'
+            "\n"
+            f"--{boundary}\n"
+            'Content-Type: text/plain; charset="utf-8"\n'
+            "Content-Transfer-Encoding: 7bit\n"
+            "\n"
+            f"{_TEXT_PART}\n"
+            "\n"
+            f"--{boundary}\n"
+            "Content-Type: application/octet-stream\n"
+            "Content-Transfer-Encoding: base64\n"
+            'Content-Disposition: attachment; filename="pakemail.bin"\n'
+            "MIME-Version: 1.0\n"
+            "\n")
+    return b"".join([head.encode(), base64.encodebytes(envelope.payload),
+                     f"\n--{boundary}--\n".encode()])
 
 
 def decode_email(raw: bytes) -> TransportEnvelope:
@@ -219,24 +256,36 @@ class MaildirTransport(TransportBackend):
 
     Delivery writes to tmp and renames into new; polling parses messages
     from new and moves them to cur so nothing is processed twice. Parse
-    failures are logged and skipped, never fatal.
+    failures are logged and skipped, never fatal. ``wait`` lists new every
+    ``MAILDIR_WAIT_STEP`` seconds and returns once it holds a name that the
+    last poll did not leave behind (an entry poll could not move to cur),
+    so a stuck entry never ends a wait but mail that lands between a poll
+    and the next wait does. A transport creates each mailbox's directories
+    once.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
+        self._boxes: dict[bytes, Path] = {}
+        self._left: dict[Path, set[str]] = {}  # per mailbox: names the last poll left in new
 
     def _maildir(self, identity: bytes) -> Path:
-        box = self.root / _mailbox_name(identity)
-        for sub in ("tmp", "new", "cur"):
-            (box / sub).mkdir(parents=True, exist_ok=True)
+        identity = bytes(identity)
+        box = self._boxes.get(identity)
+        if box is None:
+            box = self.root / _mailbox_name(identity)
+            for sub in ("tmp", "new", "cur"):
+                (box / sub).mkdir(parents=True, exist_ok=True)
+            self._boxes[identity] = box
         return box
 
     def send(self, envelope: TransportEnvelope) -> None:
+        raw = encode_email(envelope)
         box = self._maildir(envelope.recipient)
         name = f"{time.time():.6f}.{os.getpid()}.{secrets.token_hex(8)}"
         tmp_path = box / "tmp" / name
         try:
-            tmp_path.write_bytes(encode_email(envelope))
+            tmp_path.write_bytes(raw)
             tmp_path.rename(box / "new" / name)
         except OSError as exc:
             raise TransportError(f"maildir write failed: {exc}") from exc
@@ -244,11 +293,13 @@ class MaildirTransport(TransportBackend):
     def poll(self, recipient: bytes) -> list[TransportEnvelope]:
         box = self._maildir(recipient)
         envelopes = []
+        left = set()
         for path in sorted((box / "new").iterdir()):
             try:
                 raw = path.read_bytes()
             except OSError as exc:
                 logger.warning("unreadable maildir entry %s: %s", path.name, exc)
+                left.add(path.name)
                 continue
             try:
                 envelopes.append(decode_email(raw))
@@ -256,8 +307,25 @@ class MaildirTransport(TransportBackend):
                 logger.debug("ignoring ordinary mail %s", path.name)
             except (EnvelopeError, ValueError) as exc:
                 logger.warning("skipping malformed message %s: %s", path.name, exc)
-            path.rename(box / "cur" / (path.name + ":2,S"))
+            try:
+                path.rename(box / "cur" / (path.name + ":2,S"))
+            except OSError as exc:
+                logger.warning("could not move maildir entry %s to cur: %s", path.name, exc)
+                left.add(path.name)
+        self._left[box] = left
         return envelopes
+
+    def wait(self, recipient: bytes, timeout: float) -> None:
+        box = self._maildir(recipient)
+        left = self._left.get(box, set())
+        deadline = time.monotonic() + timeout
+        while True:
+            if not left.issuperset(os.listdir(box / "new")):
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            time.sleep(min(MAILDIR_WAIT_STEP, remaining))
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,7 @@ def test_criterion_6_transport_equivalence(tmp_path):
         for name, backend in backends.items():
             ma, mb = _managed_pair(tmp_path, backend, toy, name)
             ra, rb = _run_managed(ma, mb)
+            backend.close()
             assert ra.outcome is Outcome.SUCCESS and rb.outcome is Outcome.SUCCESS
             assert ra.key == rb.key is not None
             keys[name] = ra.key

@@ -189,8 +189,10 @@ def test_failed_log_append_answers_err_and_stores_nothing(tmp_path):
     store._log = _FailingLog(store._log)
     envelope = TransportEnvelope(bytes(16), 9, b"a@x", b"b@x", b"lost")
     with RelayServer(store=store) as srv:
+        client = RelayTransport(*srv.address)
         with pytest.raises(TransportError, match="relay error"):
-            RelayTransport(*srv.address).send(envelope)
+            client.send(envelope)
+        client.close()
         assert _blobs(store, b"b@x") == [b"kept"]
         with socket.create_connection(srv.address) as sock:
             assert _rpc(sock, OP_PUT, [b"bob", b"lost too"])[0] == OP_ERR

@@ -1,8 +1,10 @@
 import email
+import email.policy
 import imaplib
 import secrets
 import smtplib
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from pakemail.transport import (
     RelayTransport,
     TransportEnvelope,
     TransportError,
+    VALID_FLOWS,
     decode_email,
     encode_email,
     fresh_exchange_id,
@@ -145,6 +148,92 @@ def test_bad_flow_in_subject_rejected():
         decode_email(raw)
 
 
+# a message the EmailMessage-based encoder wrote: mail of that shape may
+# already sit in a maildir or an IMAP inbox
+EARLIER_ENCODER_MESSAGE = b"".join([
+    b'From: a@x\n',
+    b'To: b@x\n',
+    b'Subject: PAKEMAIL 000102030405060708090a0b0c0d0e0f 0\n',
+    b'Date: Sun, 18 Oct 2026 08:10:21 -0000\n',
+    b'X-PakeMail-Fpr: a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3\n',
+    b'MIME-Version: 1.0\n',
+    b'Content-Type: multipart/mixed; boundary="===============8796223139876956312=="\n',
+    b'\n',
+    b'--===============8796223139876956312==\n',
+    b'Content-Type: text/plain; charset="utf-8"\n',
+    b'Content-Transfer-Encoding: 7bit\n',
+    b'\n',
+    b'This message carries authentication data; it is processed automatically.\n',
+    b'\n',
+    b'--===============8796223139876956312==\n',
+    b'Content-Type: application/octet-stream\n',
+    b'Content-Transfer-Encoding: base64\n',
+    b'Content-Disposition: attachment; filename="pakemail.bin"\n',
+    b'MIME-Version: 1.0\n',
+    b'\n',
+    b'AAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8gISIjJCUmJygpKissLS4vMDEyMzQ1Njc4\n',
+    b'OTo7\n',
+    b'\n',
+    b'--===============8796223139876956312==--\n',
+])
+
+
+def test_mail_from_the_earlier_encoder_still_decodes():
+    assert decode_email(EARLIER_ENCODER_MESSAGE) == TransportEnvelope(
+        bytes(range(16)), 0, b"a@x", b"b@x", bytes(range(60)),
+        Fingerprint(bytes(range(0xa0, 0xb4))))
+
+
+@pytest.mark.parametrize("payload_len", [0, 56, 57, 58, 4096])
+def test_encoding_parses_under_the_default_policy(payload_len):
+    e = env(flow=1, payload=secrets.token_bytes(payload_len))
+    raw = encode_email(e)
+    msg = email.message_from_bytes(raw, policy=email.policy.default)
+    assert msg.get_content_type() == "multipart/mixed"
+    assert (msg["From"], msg["To"]) == ("a@x", "b@x")
+    assert msg["X-PakeMail-Fpr"] == e.fingerprint.hex
+    assert msg.get_body(("plain",)).get_content().startswith("This message carries")
+    attachments = list(msg.iter_attachments())
+    assert len(attachments) == 1
+    assert attachments[0].get_filename() == "pakemail.bin"
+    assert attachments[0].get_content() == e.payload
+    assert b"\r" not in raw and max(len(line) for line in raw.split(b"\n")) <= 78
+
+
+_HEADER_SAFE = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e), min_size=1,
+                       max_size=60).filter(lambda s: s == s.strip())
+
+
+# 57 bytes fill one 76-character base64 line exactly
+_PAYLOADS = st.one_of(st.sampled_from([0, 56, 57, 58]), st.integers(0, 4096)).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n))
+
+
+@given(_HEADER_SAFE, _HEADER_SAFE, st.sampled_from(VALID_FLOWS), st.booleans(), _PAYLOADS)
+def test_email_roundtrip_property(sender, recipient, flow, with_fpr, payload):
+    e = env(flow=flow, sender=sender.encode(), recipient=recipient.encode(),
+            payload=payload, with_fpr=with_fpr)
+    assert decode_email(encode_email(e)) == e
+
+
+def test_longest_header_identity_roundtrips():
+    e = env(sender=b"a" * 900, recipient=b"b" * 899 + b"@")
+    assert decode_email(encode_email(e)) == e
+
+
+@pytest.mark.parametrize("identity", [b"jos\xc3\xa9@x", b"a\r\nBcc: c@x", b" a@x ",
+                                      b"a@x\t", b"a" * 901],
+                         ids=["non-ascii", "crlf", "spaces", "tab", "too-long"])
+@pytest.mark.parametrize("field", ["sender", "recipient"])
+def test_identities_a_mail_header_cannot_carry_are_refused(tmp_path, identity, field):
+    e = env(**{field: identity})
+    with pytest.raises(EnvelopeError, match="mail header"):
+        encode_email(e)
+    with pytest.raises(EnvelopeError):
+        MaildirTransport(tmp_path).send(e)
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # nothing delivered
+
+
 # ---------------------------------------------------------------------------
 # Maildir
 # ---------------------------------------------------------------------------
@@ -185,6 +274,84 @@ def test_maildir_ignores_ordinary_mail(tmp_path):
     (box / "new" / "1.ordinary").write_bytes(b"Subject: hi\r\n\r\nhello")
     got = backend.poll(b"b@x")
     assert len(got) == 1  # only the real envelope
+
+
+def test_maildir_wait_wakes_when_mail_lands(tmp_path):
+    receiver = MaildirTransport(tmp_path)
+    assert receiver.poll(b"b@x") == []
+    waiter = threading.Thread(target=receiver.wait, args=(b"b@x", 30))
+    waiter.start()
+    sender = MaildirTransport(tmp_path)  # another transport on the same root
+    sender.send(env(recipient=b"c@x"))  # mail for someone else does not release it
+    waiter.join(0.2)
+    assert waiter.is_alive()
+    sender.send(env(recipient=b"b@x"))
+    waiter.join(5)
+    assert not waiter.is_alive()
+    receiver.wait(b"b@x", 30)  # mail already there: no wait at all
+    assert len(receiver.poll(b"b@x")) == 1  # waiting takes nothing out
+
+
+def _stuck_directory(backend, box, monkeypatch):
+    (box / "new" / "0.stuck").mkdir()  # poll cannot read a directory
+    assert backend.poll(b"b@x") == []
+    return "unreadable"
+
+
+def _stuck_message(backend, box, monkeypatch):
+    rename = Path.rename
+
+    def refuse_cur(self, target):
+        if Path(target).parent.name == "cur":
+            raise PermissionError(13, "Permission denied")
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "rename", refuse_cur)
+    e = env()
+    backend.send(e)
+    assert backend.poll(b"b@x") == [e]  # read, but not moved to cur
+    return "could not move"
+
+
+@pytest.mark.parametrize("stick", [_stuck_directory, _stuck_message])
+def test_maildir_wait_ignores_what_poll_could_not_move(tmp_path, caplog, monkeypatch, stick):
+    backend = MaildirTransport(tmp_path)
+    backend.poll(b"b@x")  # creates the mailbox
+    box = next(p for p in tmp_path.iterdir() if p.is_dir())
+    with caplog.at_level("WARNING"):
+        warning = stick(backend, box, monkeypatch)
+    assert any(warning in rec.message for rec in caplog.records)
+    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 30))
+    waiter.start()
+    waiter.join(0.2)
+    assert waiter.is_alive()
+    backend.send(env())  # a new name still releases it
+    waiter.join(5)
+    assert not waiter.is_alive()
+
+
+def test_maildir_wait_without_mail_returns_after_its_timeout(tmp_path):
+    backend = MaildirTransport(tmp_path)
+    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 0.01))
+    waiter.start()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    assert backend.poll(b"b@x") == []
+
+
+def test_maildir_creates_a_mailbox_once(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *a, **kw: made.append(self) or mkdir(self, *a, **kw))
+    backend = MaildirTransport(tmp_path)
+    backend.send(env())
+    assert {p.name for p in made} >= {"cur", "new", "tmp"}
+    first_use = len(made)
+    for _ in range(3):
+        assert len(backend.poll(b"b@x")) == 1
+        backend.send(env())
+    backend.wait(b"b@x", 0)
+    assert len(made) == first_use
 
 
 def test_relay_transport_unreachable():
