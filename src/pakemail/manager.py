@@ -18,6 +18,7 @@ import tempfile
 import threading
 import time
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +42,9 @@ _V1_HEADER = "pakemail-keystore v1"
 # the longest single backend wait: a thread serving another peer may have
 # moved this thread's envelope into the shared inbox, and would not wake it
 POLL_INTERVAL = 0.005
+# how many recently handled (exchange id, flow) keys are remembered to drop
+# transport duplicates, which land right behind their original
+DEDUPE_WINDOW = 4096
 
 logger = logging.getLogger(__name__)
 
@@ -473,7 +477,7 @@ class SessionManager:
         self.group = group
         self.policy = policy if policy is not None else AttemptPolicy()
         self._inbox: dict[tuple[bytes, int], TransportEnvelope] = {}
-        self._processed: set[tuple[bytes, int]] = set()
+        self._processed: OrderedDict[tuple[bytes, int], None] = OrderedDict()
         # threads serving several peers share the inbox
         self._inbox_lock = threading.Lock()
 
@@ -489,6 +493,13 @@ class SessionManager:
             if key in self._processed or key in self._inbox:
                 continue  # at-least-once delivery: drop duplicates
             self._inbox[key] = env
+
+    def _mark_processed(self, keys) -> None:
+        """Remember handled keys, forgetting the oldest beyond ``DEDUPE_WINDOW``."""
+        for key in keys:
+            self._processed[key] = None
+        while len(self._processed) > DEDUPE_WINDOW:
+            self._processed.popitem(last=False)
 
     def _wait_for(self, flow: int, deadline: float, exchange_id: bytes | None = None,
                   sender: bytes | None = None) -> TransportEnvelope | None:
@@ -510,7 +521,7 @@ class SessionManager:
                     *superseded, newest = matches
                     for key in superseded:
                         del self._inbox[key]
-                    self._processed.update(matches)
+                    self._mark_processed(matches)
                     return self._inbox.pop(newest)
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -678,9 +689,9 @@ class SessionManager:
             with self._inbox_lock:
                 self._collect()
                 keys = [k for k, env in self._inbox.items() if env.flow == FLOW_DATA]
+                self._mark_processed(keys)
                 for key in keys:
                     env = self._inbox.pop(key)
-                    self._processed.add(key)
                     record = self.keystore.peer(env.sender)
                     if record.chained_key is None:
                         continue

@@ -11,6 +11,13 @@ holding a 1-byte opcode followed by the packed fields of the request.
     PUT  recipient, blob          -> OK
     GET  recipient                -> LIST id1, blob1, id2, blob2, ...
     ACK  recipient, id1, id2, ... -> OK   (acknowledged blobs are removed)
+    WAIT recipient, timeout       -> OK   (4-byte big-endian milliseconds)
+
+GET lists the oldest blobs whose LIST frame fits in ``MAX_FRAME`` (always
+at least one), so a large backlog drains over several GETs; a PUT whose
+blob could not fit in a LIST on its own is refused. WAIT blocks until the
+recipient's mailbox is non-empty or the timeout passes, at most
+``MAX_WAIT_MS``; it changes nothing and is never logged.
 
 A connection carries any number of requests, one reply each, until the
 client closes it or the server stops. A malformed frame gets an ERR reply
@@ -39,8 +46,13 @@ OP_ACK = 2
 OP_OK = 3
 OP_ERR = 4
 OP_LIST = 5
+OP_WAIT = 6
 
 MAX_FRAME = 16 * 1024 * 1024
+# a LIST frame carrying one blob: opcode, 8-byte id field, blob field
+MAX_BLOB = MAX_FRAME - 1 - (4 + 8) - 4
+# the longest a WAIT blocks, well inside the client's 5 s socket timeout
+MAX_WAIT_MS = 4000
 
 
 FrameError = wire.WireError  # frame bytes that do not decode
@@ -78,12 +90,15 @@ class MailboxStore:
 
     Persistence is an append-only log of PUT/ACK frames, each appended before
     it is applied and replayed at startup; the store never looks inside a
-    blob. Replay skips a frame that does not apply; a torn frame at the end
-    (a crash or a failed append) is cut off before the next append.
+    blob. Replay skips a frame that does not apply or is not a PUT or ACK; a
+    torn frame at the end (a crash or a failed append) is cut off before the
+    next append.
     """
 
     def __init__(self, log_path=None) -> None:
         self._lock = threading.Lock()
+        self._arrived = threading.Condition(self._lock)  # notified by every put
+        self._stopping = False  # set by wake_waiters: no wait blocks any more
         self._boxes: dict[bytes, OrderedDict] = {}
         self._next_id = 0
         self._log = None
@@ -109,7 +124,10 @@ class MailboxStore:
             if body is None:
                 return
             try:
-                self.apply(*decode_frame(body))
+                opcode, fields = decode_frame(body)
+                if opcode not in (OP_PUT, OP_ACK):  # applying a WAIT would block replay
+                    raise FrameError(f"opcode {opcode} is never logged")
+                self.apply(opcode, fields)
             except FrameError as exc:
                 logger.warning("relay log: frame at offset %d skipped (%s)", self._end, exc)
             self._end = log.tell()
@@ -132,12 +150,20 @@ class MailboxStore:
             blob_id = self._next_id.to_bytes(8, "big")
             self._next_id += 1
             self._boxes.setdefault(bytes(recipient), OrderedDict())[blob_id] = bytes(blob)
+            self._arrived.notify_all()
             return blob_id
 
     def get(self, recipient: bytes) -> list[tuple[bytes, bytes]]:
+        """The oldest (id, blob) pairs that fit in one LIST frame; the first whatever its size."""
         with self._lock:
-            box = self._boxes.get(bytes(recipient), {})
-            return list(box.items())
+            pairs = []
+            size = 1  # the LIST frame's opcode
+            for blob_id, blob in self._boxes.get(bytes(recipient), {}).items():
+                size += 4 + len(blob_id) + 4 + len(blob)
+                if pairs and size > MAX_FRAME:
+                    break
+                pairs.append((blob_id, blob))
+            return pairs
 
     def ack(self, recipient: bytes, blob_ids) -> None:
         with self._lock:
@@ -146,11 +172,26 @@ class MailboxStore:
             for blob_id in blob_ids:
                 box.pop(bytes(blob_id), None)
 
+    def wait(self, recipient: bytes, timeout: float) -> None:
+        """Block until ``recipient`` has mail or ``timeout`` passes; see wake_waiters."""
+        recipient = bytes(recipient)
+        with self._arrived:
+            self._arrived.wait_for(lambda: self._stopping or self._boxes.get(recipient),
+                                   timeout)
+
+    def wake_waiters(self) -> None:
+        """End every wait now and make later ones return at once."""
+        with self._arrived:
+            self._stopping = True
+            self._arrived.notify_all()
+
     def apply(self, opcode: int, fields: list[bytes]) -> bytes:
         """Carry out one request frame and return the reply frame."""
         if opcode == OP_PUT:
             if len(fields) != 2:
                 raise FrameError("PUT expects recipient and blob")
+            if len(fields[1]) > MAX_BLOB:
+                raise FrameError(f"a blob over {MAX_BLOB} bytes would not fit in a LIST")
             self.put(fields[0], fields[1])
             return encode_frame(OP_OK, [])
         if opcode == OP_GET:
@@ -161,6 +202,11 @@ class MailboxStore:
             if not fields:
                 raise FrameError("ACK expects a recipient")
             self.ack(fields[0], fields[1:])
+            return encode_frame(OP_OK, [])
+        if opcode == OP_WAIT:
+            if len(fields) != 2 or len(fields[1]) != 4:
+                raise FrameError("WAIT expects a recipient and a 4-byte timeout")
+            self.wait(fields[0], min(int.from_bytes(fields[1], "big"), MAX_WAIT_MS) / 1000)
             return encode_frame(OP_OK, [])
         raise FrameError(f"unknown opcode {opcode}")
 
@@ -240,11 +286,12 @@ class RelayServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, end every open connection, then close the store."""
+        """Stop accepting, end every open connection and every WAIT, then close the store."""
         if self._thread is not None:
             self._server.shutdown()  # no connection is accepted after this
             self._thread.join(timeout=5)
         self._server.server_close()
+        self.store.wake_waiters()
         with self._server.connections_lock:
             connections = list(self._server.connections.items())
         for sock, _ in connections:

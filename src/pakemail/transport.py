@@ -7,9 +7,10 @@ at-least-once with no ordering guarantee; the session layer tolerates
 duplicates and reordering.
 
 ``wait(recipient, timeout)`` blocks until mail for the recipient may be
-there: loopback wakes on delivery, maildir when a new name appears in the
-recipient's ``new/``, and the other backends sleep the timeout. The relay
-client keeps one connection and reopens it once if the relay dropped it.
+there: loopback and the relay client wake on delivery, maildir when a new
+name appears in the recipient's ``new/``, and IMAP/SMTP sleeps the timeout.
+The relay client keeps one connection and reopens it once if the relay
+dropped it.
 
 Maildir and IMAP/SMTP carry identities in mail headers, so there a sender
 or recipient must be printable ASCII without leading or trailing spaces and
@@ -22,6 +23,7 @@ import base64
 import email
 import email.utils
 import logging
+import math
 import os
 import re
 import secrets
@@ -403,7 +405,7 @@ class ImapSmtpTransport(TransportBackend):
 # ---------------------------------------------------------------------------
 
 class RelayTransport(TransportBackend):
-    """Client for the store-and-forward relay: PUT on send, GET+ACK on poll.
+    """Client for the store-and-forward relay: PUT on send, GET+ACK on poll, WAIT on wait.
 
     One connection, opened on first use, carries every request; a lock keeps
     requests from interleaving on it. If the relay closed a connection that
@@ -469,3 +471,16 @@ class RelayTransport(TransportBackend):
         if fields:  # malformed blobs are acknowledged too
             self._roundtrip(relay.encode_frame(relay.OP_ACK, [recipient, *fields[::2]]))
         return envelopes
+
+    def wait(self, recipient: bytes, timeout: float) -> None:
+        """Block in a relay WAIT until ``recipient`` has mail or ``timeout`` passes.
+
+        The wait holds the connection, so other requests on this client queue
+        behind it. It ends early at the relay's cap or half the socket timeout.
+        """
+        seconds = min(timeout, relay.MAX_WAIT_MS / 1000, (self.timeout or math.inf) / 2)
+        ms = math.ceil(max(seconds, 0) * 1000)
+        opcode, _ = self._roundtrip(relay.encode_frame(relay.OP_WAIT,
+                                                       [recipient, ms.to_bytes(4, "big")]))
+        if opcode != relay.OP_OK:
+            raise TransportError(f"unexpected relay reply opcode {opcode}")

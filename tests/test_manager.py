@@ -412,6 +412,40 @@ def test_duplicate_and_reordered_envelopes_tolerated(tmp_path, toy):
     assert ra.key == rb.key
 
 
+def test_dedupe_window_stays_bounded_and_drops_close_duplicates(tmp_path, toy):
+    sent = []
+
+    class Recording(LoopbackTransport):
+        def send(self, env):
+            sent.append(env)
+            super().send(env)
+
+    backend = Recording()
+    ma, mb = make_pair(tmp_path, toy, backend=backend)
+    # several windows of data envelopes; an unknown sender's are never opened
+    for _ in range(3 * manager.DEDUPE_WINDOW // 512):
+        for _ in range(512):
+            backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_DATA, b"stranger@x",
+                                           IDB, b"junk"))
+        assert mb.recv_sealed(timeout=0) == []
+    assert len(mb._processed) <= manager.DEDUPE_WINDOW
+    assert mb._inbox == {}
+
+    ra, rb = run_both(ma, mb, b"pw", b"pw")
+    assert ra.outcome is Outcome.SUCCESS and rb.outcome is Outcome.SUCCESS
+    # a transport duplicate of the answered opening is not answered again
+    opening = next(e for e in sent if e.flow == FLOW_INITIATOR_PAKE)
+    backend.send(opening)
+    assert mb.authenticate(IDA, b"pw", timeout=0.05).outcome is Outcome.ABORTED_BY_TIMEOUT
+    assert sum(e.flow == FLOW_RESPONDER_PAKE for e in sent) == 1
+    # a data message and its duplicate, in one poll and in a later one
+    ma.send_sealed(IDB, b"once")
+    backend.send(sent[-1])
+    assert mb.recv_sealed(timeout=2.0) == [(IDA, b"once")]
+    backend.send(sent[-1])
+    assert mb.recv_sealed(timeout=0) == []
+
+
 def test_garbage_pake_payload_is_protocol_error(tmp_path, toy):
     backend = LoopbackTransport()
     ma, mb = make_pair(tmp_path, toy, backend=backend)

@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import socket
 import threading
@@ -13,6 +14,8 @@ from pakemail.relay import (
     OP_LIST,
     OP_OK,
     OP_PUT,
+    OP_WAIT,
+    MAX_BLOB,
     MAX_FRAME,
     FrameError,
     MailboxStore,
@@ -48,6 +51,7 @@ KNOWN_FRAMES = [
     (OP_OK, [], "00000001" "03"),
     (OP_ERR, [b"no"], "00000007" "04" "000000026e6f"),
     (OP_LIST, [bytes(8), b"blob"], "00000015" "05" "000000080000000000000000" "00000004626c6f62"),
+    (OP_WAIT, [b"bob", (5).to_bytes(4, "big")], "00000010" "06" "00000003626f62" "0000000400000005"),
 ]
 
 
@@ -150,7 +154,9 @@ def test_store_cuts_a_torn_tail_before_appending(tmp_path):
     encode_frame(OP_PUT, [b"SECRET-BLOB"]),  # PUT with one field
     encode_frame(42, [b"SECRET-BLOB"]),
     bytes(4),  # empty frame
-], ids=["undecodable", "put-one-field", "unknown-opcode", "empty"])
+    # a WAIT is never logged; applying one would block replay on an empty mailbox
+    encode_frame(OP_WAIT, [b"nobody", (0xFFFFFFFF).to_bytes(4, "big")]),
+], ids=["undecodable", "put-one-field", "unknown-opcode", "empty", "wait"])
 def test_store_skips_a_malformed_middle_frame(tmp_path, caplog, bad_frame):
     log = tmp_path / "relay.log"
     log.write_bytes(encode_frame(OP_PUT, [b"bob", b"before"]) + bad_frame
@@ -209,6 +215,15 @@ def test_failed_log_append_answers_err_and_stores_nothing(tmp_path):
 def _rpc(sock, opcode, fields):
     sock.sendall(encode_frame(opcode, fields))
     return read_frame(sock)
+
+
+def test_store_refuses_a_blob_no_list_can_carry():
+    store = MailboxStore()
+    with pytest.raises(FrameError, match="LIST"):
+        store.apply(OP_PUT, [b"b", bytes(MAX_BLOB + 1)])
+    assert store.apply(OP_PUT, [b"b", bytes(MAX_BLOB)]) == encode_frame(OP_OK, [])
+    reply = store.apply(OP_GET, [b"b"])
+    assert len(reply) - 4 == MAX_FRAME  # the largest blob fills a LIST exactly
 
 
 def test_server_put_get_ack_cycle():
@@ -270,6 +285,7 @@ def test_relay_client_keeps_one_connection(monkeypatch):
         client = RelayTransport(*srv.address)
         for n in range(10):
             client.send(_envelope(n))
+            client.wait(b"b@x", 1.0)
             assert client.poll(b"b@x") == [_envelope(n)]
         client.close()
     assert len(accepted) == 1
@@ -282,6 +298,7 @@ def test_relay_client_replaces_a_dropped_connection():
     client.send(_envelope(1))
     first.stop()  # ends the connection the client keeps
     with RelayServer((host, port)) as second:
+        client.wait(b"b@x", 0.01)
         client.send(_envelope(2))
         assert client.poll(b"b@x") == [_envelope(2)]
         assert _blobs(second.store, b"b@x") == []
@@ -300,6 +317,92 @@ def test_stopped_relay_refuses_the_next_request(tmp_path):
     reborn = MailboxStore(log)
     assert _blobs(reborn, b"b@x") == [_envelope(1).to_bytes()]
     reborn.close()
+    client.close()
+
+
+def test_a_backlog_over_one_frame_drains_over_several_polls():
+    # 300 blobs of 60 KiB: one LIST of them all would exceed MAX_FRAME
+    envelopes = [TransportEnvelope(n.to_bytes(16, "big"), 9, b"a@x", b"b@x",
+                                   bytes([n % 256]) * 60 * 1024) for n in range(300)]
+    with RelayServer() as srv:
+        for envelope in envelopes:
+            srv.store.put(b"b@x", envelope.to_bytes())
+        client = RelayTransport(*srv.address)
+        got, polls = [], 0
+        while len(got) < len(envelopes) and polls < 10:
+            got += client.poll(b"b@x")
+            polls += 1
+        client.close()
+        assert got == envelopes
+        assert polls > 1
+        assert srv.store.get(b"b@x") == []
+
+
+@pytest.fixture
+def long_waits(monkeypatch):
+    # lift the relay's cap on one WAIT, so only a wake-up can end it early
+    monkeypatch.setattr(relay, "MAX_WAIT_MS", 600_000)
+
+
+def test_relay_wait_wakes_on_delivery(long_waits):
+    with RelayServer() as srv:
+        waiting = RelayTransport(*srv.address, timeout=600)
+        sending = RelayTransport(*srv.address)
+        waiter = threading.Thread(target=waiting.wait, args=(b"b@x", 60))
+        waiter.start()
+        sending.send(TransportEnvelope(bytes(16), 9, b"a@x", b"c@x", b"other"))
+        waiter.join(0.2)
+        assert waiter.is_alive()  # mail for someone else does not release it
+        sending.send(_envelope(1))  # PUT on another client's connection
+        waiter.join(5)
+        assert not waiter.is_alive()
+        waiter = threading.Thread(target=waiting.wait, args=(b"b@x", 60))
+        waiter.start()
+        waiter.join(5)
+        assert not waiter.is_alive()  # mail already there: no wait at all
+        assert waiting.poll(b"b@x") == [_envelope(1)]  # waiting takes nothing out
+        waiting.close()
+        sending.close()
+
+
+def test_relay_wait_without_mail_returns_after_its_timeout():
+    with RelayServer() as srv:
+        client = RelayTransport(*srv.address)
+        waiter = threading.Thread(target=client.wait, args=(b"b@x", 0.01))
+        waiter.start()
+        waiter.join(5)
+        assert not waiter.is_alive()
+        assert client.poll(b"b@x") == []
+        client.close()
+
+
+def test_stop_ends_a_wait_in_progress(long_waits, monkeypatch):
+    entered = threading.Event()
+    store_wait = MailboxStore.wait
+
+    def wait(self, recipient, timeout):
+        entered.set()
+        store_wait(self, recipient, timeout)
+
+    monkeypatch.setattr(MailboxStore, "wait", wait)
+    srv = RelayServer().start()
+    client = RelayTransport(*srv.address, timeout=600)
+
+    def wait_out():
+        with contextlib.suppress(TransportError):  # the relay went away mid-wait
+            client.wait(b"b@x", 60)
+
+    waiter = threading.Thread(target=wait_out)
+    waiter.start()
+    assert entered.wait(5)
+    stopper = threading.Thread(target=srv.stop)
+    stopper.start()
+    stopper.join(2)  # a handler left waiting would hold stop() for 5 s
+    assert not stopper.is_alive()
+    waiter.join(5)
+    assert not waiter.is_alive()
+    with pytest.raises(TransportError):
+        client.wait(b"b@x", 0.01)
     client.close()
 
 
