@@ -78,13 +78,13 @@ class ConfirmationBundle:
         self.sid = sid
         self.role = role
         self._verdict: bool | None = None
+        self._message = _tag_message(fpr_a, fpr_b, sid)  # both tags MAC the same message
         own_key = self._k_mac_a if role is Role.INITIATOR else self._k_mac_b
-        self.tau_self = hmac.new(own_key, _tag_message(fpr_a, fpr_b, sid),
-                                 hashlib.sha256).digest()
+        self.tau_self = hmac.new(own_key, self._message, hashlib.sha256).digest()
 
-    def verify_peer_tag(self, peer_tag: bytes, fpr_a: Fingerprint,
-                        fpr_b: Fingerprint, sid: bytes) -> tuple[bool, bytes | None]:
-        """Check the peer's tag; on success return (True, K), else (False, None).
+    def verify_peer_tag(self, peer_tag: bytes) -> tuple[bool, bytes | None]:
+        """Check the peer's tag over the fingerprints and sid this bundle was
+        derived with; on success return (True, K), else (False, None).
 
         Comparison is constant-shape (hmac.compare_digest); a second call
         is a state error.
@@ -92,8 +92,7 @@ class ConfirmationBundle:
         if self._verdict is not None:
             raise StateError("peer tag already verified for this bundle")
         peer_key = self._k_mac_b if self.role is Role.INITIATOR else self._k_mac_a
-        expected = hmac.new(peer_key, _tag_message(fpr_a, fpr_b, sid),
-                            hashlib.sha256).digest()
+        expected = hmac.new(peer_key, self._message, hashlib.sha256).digest()
         ok = hmac.compare_digest(expected, peer_tag)
         self._verdict = ok
         if ok:

@@ -70,8 +70,8 @@ def _confirmed_run(password_a: bytes, password_b: bytes, group, rng_a, rng_b) ->
     sid_b = sb.transcript() + _SID_SUFFIX
     ba = confirm.derive_bundle(sk_a, sid_a, _FPR_A, _FPR_B, Role.INITIATOR)
     bb = confirm.derive_bundle(sk_b, sid_b, _FPR_A, _FPR_B, Role.RESPONDER)
-    ok_a, _ = ba.verify_peer_tag(bb.tau_self, _FPR_A, _FPR_B, sid_a)
-    ok_b, _ = bb.verify_peer_tag(ba.tau_self, _FPR_A, _FPR_B, sid_b)
+    ok_a, _ = ba.verify_peer_tag(bb.tau_self)
+    ok_b, _ = bb.verify_peer_tag(ba.tau_self)
     log = {"msg_a": msg_a, "msg_b": msg_b, "tau_a": ba.tau_self, "tau_b": bb.tau_self}
     return ok_a and ok_b, log
 

@@ -38,8 +38,7 @@ from .transport import (
 )
 
 KEYSTORE_HEADER = "pakemail-keystore v2"
-_V1_HEADER = "pakemail-keystore v1"
-# the longest single backend wait: a thread serving another peer may have
+# the longest single blocking poll: a thread serving another peer may have
 # moved this thread's envelope into the shared inbox, and would not wake it
 POLL_INTERVAL = 0.005
 # how many recently handled (exchange id, flow) keys are remembered to drop
@@ -185,7 +184,12 @@ def _exchange_line(rec: ExchangeRecord) -> bytes:
     })
 
 
-def _exchange_record(obj: dict) -> ExchangeRecord:
+# an exchange record starts with its checksum, then _EXCHANGE
+_TAG, _EXCHANGE = slice(9, 18), b"exchange "
+
+
+def _parse_exchange(line: bytes) -> ExchangeRecord:
+    obj = json.loads(line[_TAG.stop:])
     return ExchangeRecord(
         exchange_id=_unhex(obj["exchange_id"]),
         peer=_unhex(obj["peer"]),
@@ -194,14 +198,6 @@ def _exchange_record(obj: dict) -> ExchangeRecord:
         started_at=obj["started_at"],
         ended_at=obj["ended_at"],
     )
-
-
-# an exchange record starts with its checksum, then _EXCHANGE
-_TAG, _EXCHANGE = slice(9, 18), b"exchange "
-
-
-def _parse_exchange(line: bytes) -> ExchangeRecord:
-    return _exchange_record(json.loads(line[_TAG.stop:]))
 
 
 def _fsync_dir(path: Path) -> None:
@@ -247,9 +243,8 @@ class Keystore:
     other line raises :class:`ManagerError`; skipping a peer record there
     could roll back its lockout counter.
 
-    A ``pakemail-keystore v1`` file (records without checksums or seals)
-    loads and is rewritten as v2 on its first save. One lock serializes
-    saves, so threads sharing a keystore cannot interleave appends.
+    One lock serializes saves, so threads sharing a keystore cannot
+    interleave appends.
     """
 
     def __init__(self, path, self_identity: bytes | None = None):
@@ -293,8 +288,6 @@ class Keystore:
 
     def _load(self, data: bytes) -> None:
         header, newline, rest = data.partition(b"\n")
-        if newline and header == _V1_HEADER.encode():
-            return self._load_v1(rest)
         if not newline or header != KEYSTORE_HEADER.encode():
             raise ManagerError(f"{self.path} is not a {KEYSTORE_HEADER} file")
         lines = rest.split(b"\n")
@@ -331,27 +324,6 @@ class Keystore:
             except (ValueError, KeyError, TypeError) as exc:
                 number = lines.index(line) + 2
                 raise ManagerError(f"{self.path}: line {number} is malformed") from exc
-
-    def _load_v1(self, rest: bytes) -> None:
-        """The same records without checksums; the next save rewrites the file as v2."""
-        for number, line in enumerate(rest.split(b"\n"), start=2):
-            if not line.strip():
-                continue
-            tag, _, payload = line.partition(b" ")
-            try:
-                obj = json.loads(payload)
-                if tag == b"self":
-                    self._set_self(obj)
-                elif tag == b"peer":
-                    record = _peer_record(_unhex(obj["identity"]), obj)
-                    self.peers[record.identity] = record
-                elif tag == b"exchange":
-                    self._exchanges.append(_exchange_record(obj))
-                else:
-                    raise ValueError(f"unknown record tag {tag!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ManagerError(f"{self.path}: line {number} is malformed") from exc
-        self._rewrite = True
 
     def _set_self(self, obj: dict) -> None:
         self.self_identity = _unhex(obj["identity"])
@@ -487,19 +459,33 @@ class SessionManager:
 
     # -- envelope plumbing -------------------------------------------------
 
-    def _collect(self) -> None:
-        for env in self.backend.poll(self.identity):
-            key = (env.exchange_id, env.flow)
-            if key in self._processed or key in self._inbox:
-                continue  # at-least-once delivery: drop duplicates
-            self._inbox[key] = env
-
     def _mark_processed(self, keys) -> None:
         """Remember handled keys, forgetting the oldest beyond ``DEDUPE_WINDOW``."""
         for key in keys:
             self._processed[key] = None
         while len(self._processed) > DEDUPE_WINDOW:
             self._processed.popitem(last=False)
+
+    def _receive(self, deadline: float, pick):
+        """Poll until ``pick()`` takes something from the inbox or the deadline passes.
+
+        The first poll does not block; later ones block for at most
+        ``POLL_INTERVAL``. ``pick`` runs under the inbox lock and returns
+        what it took, falsy for nothing; the last pick is returned.
+        """
+        timeout = 0.0
+        while True:
+            envelopes = self.backend.poll(self.identity, timeout)
+            with self._inbox_lock:
+                for env in envelopes:
+                    key = (env.exchange_id, env.flow)
+                    if key not in self._processed and key not in self._inbox:
+                        self._inbox[key] = env  # at-least-once delivery: drop duplicates
+                taken = pick()
+            remaining = deadline - time.monotonic()
+            if taken or remaining <= 0:
+                return taken
+            timeout = min(remaining, POLL_INTERVAL)
 
     def _wait_for(self, flow: int, deadline: float, exchange_id: bytes | None = None,
                   sender: bytes | None = None) -> TransportEnvelope | None:
@@ -510,23 +496,20 @@ class SessionManager:
         older ones are openings the sender has given up on, and are dropped
         as superseded. Early-arriving later flows stay buffered in the inbox.
         """
-        while True:
-            with self._inbox_lock:
-                self._collect()
-                matches = [key for key, env in self._inbox.items()
-                           if key[1] == flow
-                           and (exchange_id is None or key[0] == exchange_id)
-                           and (sender is None or env.sender == sender)]
-                if matches:  # in arrival order, as the inbox keeps them
-                    *superseded, newest = matches
-                    for key in superseded:
-                        del self._inbox[key]
-                    self._mark_processed(matches)
-                    return self._inbox.pop(newest)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        def pick() -> TransportEnvelope | None:
+            matches = [key for key, env in self._inbox.items()
+                       if key[1] == flow
+                       and (exchange_id is None or key[0] == exchange_id)
+                       and (sender is None or env.sender == sender)]
+            if not matches:
                 return None
-            self.backend.wait(self.identity, min(remaining, POLL_INTERVAL))
+            *superseded, newest = matches  # in arrival order, as the inbox keeps them
+            for key in superseded:
+                del self._inbox[key]
+            self._mark_processed(matches)
+            return self._inbox.pop(newest)
+
+        return self._receive(deadline, pick)
 
     def _send(self, peer: bytes, exchange_id: bytes, flow: int, payload: bytes,
               with_fingerprint: bool = False) -> None:
@@ -617,7 +600,7 @@ class SessionManager:
         if tag_env is None:
             session.mark_failed()
             return Outcome.ABORTED_BY_TIMEOUT, exchange_id, None, None
-        ok, key = bundle.verify_peer_tag(tag_env.payload, fpr_a, fpr_b, sid)
+        ok, key = bundle.verify_peer_tag(tag_env.payload)
         if not ok:
             session.mark_failed()
             return Outcome.PASSWORD_MISMATCH, exchange_id, None, None
@@ -681,27 +664,24 @@ class SessionManager:
         """Collect data messages; returns (sender, plaintext) pairs.
 
         A message that does not open is logged and dropped; the rest of its
-        batch is still returned.
+        batch is still returned. A message from a sender without a stored
+        key is dropped and leaves the keystore as it was.
         """
-        deadline = time.monotonic() + timeout
-        out = []
-        while True:
-            with self._inbox_lock:
-                self._collect()
-                keys = [k for k, env in self._inbox.items() if env.flow == FLOW_DATA]
-                self._mark_processed(keys)
-                for key in keys:
-                    env = self._inbox.pop(key)
-                    record = self.keystore.peer(env.sender)
-                    if record.chained_key is None:
-                        continue
-                    try:
-                        out.append((env.sender, sealed.open_sealed(
-                            record.chained_key, sealed.SealedMessage.from_bytes(env.payload))))
-                    except sealed.SealError:
-                        logger.warning("dropped a sealed message from %r (exchange %s) "
-                                       "that did not open", env.sender, env.exchange_id.hex())
-            remaining = deadline - time.monotonic()
-            if out or remaining <= 0:
-                return out
-            self.backend.wait(self.identity, min(remaining, POLL_INTERVAL))
+        def pick() -> list[tuple[bytes, bytes]]:
+            out = []
+            keys = [k for k, env in self._inbox.items() if env.flow == FLOW_DATA]
+            self._mark_processed(keys)
+            for key in keys:
+                env = self._inbox.pop(key)
+                record = self.keystore.peers.get(env.sender)
+                if record is None or record.chained_key is None:
+                    continue
+                try:
+                    out.append((env.sender, sealed.open_sealed(
+                        record.chained_key, sealed.SealedMessage.from_bytes(env.payload))))
+                except sealed.SealError:
+                    logger.warning("dropped a sealed message from %r (exchange %s) "
+                                   "that did not open", env.sender, env.exchange_id.hex())
+            return out
+
+        return self._receive(time.monotonic() + timeout, pick)

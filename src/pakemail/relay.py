@@ -8,16 +8,16 @@ privacy rests entirely on the protocol transcript leaking nothing.
 Wire format: each frame is one length-prefixed field (see :mod:`.wire`)
 holding a 1-byte opcode followed by the packed fields of the request.
 
-    PUT  recipient, blob          -> OK
-    GET  recipient                -> LIST id1, blob1, id2, blob2, ...
-    ACK  recipient, id1, id2, ... -> OK   (acknowledged blobs are removed)
-    WAIT recipient, timeout       -> OK   (4-byte big-endian milliseconds)
+    PUT recipient, blob          -> OK
+    GET recipient[, timeout]     -> LIST id1, blob1, id2, blob2, ...
+    ACK recipient, id1, id2, ... -> OK   (acknowledged blobs are removed)
 
 GET lists the oldest blobs whose LIST frame fits in ``MAX_FRAME`` (always
 at least one), so a large backlog drains over several GETs; a PUT whose
-blob could not fit in a LIST on its own is refused. WAIT blocks until the
-recipient's mailbox is non-empty or the timeout passes, at most
-``MAX_WAIT_MS``; it changes nothing and is never logged.
+blob could not fit in a LIST on its own is refused. While the mailbox is
+empty, a GET blocks until mail arrives or its timeout (4-byte big-endian
+milliseconds, 0 when absent, at most ``MAX_WAIT_MS``) passes. GET changes
+nothing and is never logged.
 
 A connection carries any number of requests, one reply each, until the
 client closes it or the server stops. A malformed frame gets an ERR reply
@@ -46,12 +46,11 @@ OP_ACK = 2
 OP_OK = 3
 OP_ERR = 4
 OP_LIST = 5
-OP_WAIT = 6
 
 MAX_FRAME = 16 * 1024 * 1024
 # a LIST frame carrying one blob: opcode, 8-byte id field, blob field
 MAX_BLOB = MAX_FRAME - 1 - (4 + 8) - 4
-# the longest a WAIT blocks, well inside the client's 5 s socket timeout
+# the longest a GET blocks, well inside the client's 5 s socket timeout
 MAX_WAIT_MS = 4000
 
 
@@ -98,7 +97,7 @@ class MailboxStore:
     def __init__(self, log_path=None) -> None:
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)  # notified by every put
-        self._stopping = False  # set by wake_waiters: no wait blocks any more
+        self._stopping = False  # set by wake_waiters: no GET blocks any more
         self._boxes: dict[bytes, OrderedDict] = {}
         self._next_id = 0
         self._log = None
@@ -125,7 +124,7 @@ class MailboxStore:
                 return
             try:
                 opcode, fields = decode_frame(body)
-                if opcode not in (OP_PUT, OP_ACK):  # applying a WAIT would block replay
+                if opcode not in (OP_PUT, OP_ACK):  # applying a GET could block replay
                     raise FrameError(f"opcode {opcode} is never logged")
                 self.apply(opcode, fields)
             except FrameError as exc:
@@ -153,12 +152,18 @@ class MailboxStore:
             self._arrived.notify_all()
             return blob_id
 
-    def get(self, recipient: bytes) -> list[tuple[bytes, bytes]]:
-        """The oldest (id, blob) pairs that fit in one LIST frame; the first whatever its size."""
-        with self._lock:
+    def get(self, recipient: bytes, timeout: float = 0.0) -> list[tuple[bytes, bytes]]:
+        """The oldest (id, blob) pairs that fit in one LIST frame; the first whatever its size.
+
+        While ``recipient`` has no mail, block until some arrives or
+        ``timeout`` passes; see wake_waiters.
+        """
+        recipient = bytes(recipient)
+        with self._arrived:
+            self._arrived.wait_for(lambda: self._stopping or self._boxes.get(recipient), timeout)
             pairs = []
             size = 1  # the LIST frame's opcode
-            for blob_id, blob in self._boxes.get(bytes(recipient), {}).items():
+            for blob_id, blob in self._boxes.get(recipient, {}).items():
                 size += 4 + len(blob_id) + 4 + len(blob)
                 if pairs and size > MAX_FRAME:
                     break
@@ -172,15 +177,8 @@ class MailboxStore:
             for blob_id in blob_ids:
                 box.pop(bytes(blob_id), None)
 
-    def wait(self, recipient: bytes, timeout: float) -> None:
-        """Block until ``recipient`` has mail or ``timeout`` passes; see wake_waiters."""
-        recipient = bytes(recipient)
-        with self._arrived:
-            self._arrived.wait_for(lambda: self._stopping or self._boxes.get(recipient),
-                                   timeout)
-
     def wake_waiters(self) -> None:
-        """End every wait now and make later ones return at once."""
+        """End every blocking GET now and make later ones return at once."""
         with self._arrived:
             self._stopping = True
             self._arrived.notify_all()
@@ -195,18 +193,15 @@ class MailboxStore:
             self.put(fields[0], fields[1])
             return encode_frame(OP_OK, [])
         if opcode == OP_GET:
-            if len(fields) != 1:
-                raise FrameError("GET expects a recipient")
-            return encode_frame(OP_LIST, [x for pair in self.get(fields[0]) for x in pair])
+            ms = fields[1] if len(fields) == 2 else bytes(4)
+            if len(fields) not in (1, 2) or len(ms) != 4:
+                raise FrameError("GET expects a recipient and an optional 4-byte timeout")
+            pairs = self.get(fields[0], min(int.from_bytes(ms, "big"), MAX_WAIT_MS) / 1000)
+            return encode_frame(OP_LIST, [x for pair in pairs for x in pair])
         if opcode == OP_ACK:
             if not fields:
                 raise FrameError("ACK expects a recipient")
             self.ack(fields[0], fields[1:])
-            return encode_frame(OP_OK, [])
-        if opcode == OP_WAIT:
-            if len(fields) != 2 or len(fields[1]) != 4:
-                raise FrameError("WAIT expects a recipient and a 4-byte timeout")
-            self.wait(fields[0], min(int.from_bytes(fields[1], "big"), MAX_WAIT_MS) / 1000)
             return encode_frame(OP_OK, [])
         raise FrameError(f"unknown opcode {opcode}")
 
@@ -286,7 +281,7 @@ class RelayServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, end every open connection and every WAIT, then close the store."""
+        """Stop accepting, end every open connection and blocking GET, then close the store."""
         if self._thread is not None:
             self._server.shutdown()  # no connection is accepted after this
             self._thread.join(timeout=5)

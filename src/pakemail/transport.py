@@ -6,10 +6,12 @@ IMAP/SMTP client, and a client for the untrusted relay server. Delivery is
 at-least-once with no ordering guarantee; the session layer tolerates
 duplicates and reordering.
 
-``wait(recipient, timeout)`` blocks until mail for the recipient may be
-there: loopback and the relay client wake on delivery, maildir when a new
-name appears in the recipient's ``new/``, and IMAP/SMTP sleeps the timeout.
-The relay client keeps one connection and reopens it once if the relay
+``poll(recipient, timeout=0.0)`` is the one receive call: it returns the
+envelopes that are there, or blocks until mail arrives or ``timeout``
+passes. Loopback and the relay client wake on delivery, maildir when a
+new entry lands in the recipient's ``new/``; IMAP/SMTP fetches at most
+once per ``IMAP_POLL_INTERVAL`` while it blocks and sleeps in between. The
+relay client keeps one connection and reopens it once if the relay
 dropped it.
 
 Maildir and IMAP/SMTP carry identities in mail headers, so there a sender
@@ -52,8 +54,10 @@ _ENVELOPE_MAGIC = b"PKML1"
 # a header line stays well under RFC 5322's 998-octet limit without folding
 MAX_HEADER_IDENTITY = 900
 _TEXT_PART = "This message carries authentication data; it is processed automatically."
-# how often MaildirTransport.wait lists the recipient's new/ directory
+# how often a blocking MaildirTransport.poll lists the recipient's new/ directory
 MAILDIR_WAIT_STEP = 0.0005
+# the least time between two IMAP fetches made by blocking polls
+IMAP_POLL_INTERVAL = 0.5
 
 
 class TransportError(Exception):
@@ -122,12 +126,9 @@ class TransportBackend:
     def send(self, envelope: TransportEnvelope) -> None:
         raise NotImplementedError
 
-    def poll(self, recipient: bytes) -> list[TransportEnvelope]:
+    def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
+        """The envelopes for ``recipient``, once there are some or ``timeout`` passes."""
         raise NotImplementedError
-
-    def wait(self, recipient: bytes, timeout: float) -> None:
-        """Block until mail for ``recipient`` may be there or ``timeout`` passes."""
-        time.sleep(timeout)
 
     def close(self) -> None:
         """Release a connection kept between calls; most backends keep none."""
@@ -150,18 +151,14 @@ class LoopbackTransport(TransportBackend):
             self._boxes.setdefault(bytes(envelope.recipient), deque()).append(blob)
             self._cond.notify_all()
 
-    def poll(self, recipient: bytes) -> list[TransportEnvelope]:
+    def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
+        recipient = bytes(recipient)
         with self._cond:
-            box = self._boxes.get(bytes(recipient))
+            box = self._cond.wait_for(lambda: self._boxes.get(recipient), timeout)
             blobs = list(box) if box else []
             if box:
                 box.clear()
         return [TransportEnvelope.from_bytes(b) for b in blobs]
-
-    def wait(self, recipient: bytes, timeout: float) -> None:
-        recipient = bytes(recipient)
-        with self._cond:
-            self._cond.wait_for(lambda: self._boxes.get(recipient), timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +255,18 @@ class MaildirTransport(TransportBackend):
 
     Delivery writes to tmp and renames into new; polling parses messages
     from new and moves them to cur so nothing is processed twice. Parse
-    failures are logged and skipped, never fatal. ``wait`` lists new every
-    ``MAILDIR_WAIT_STEP`` seconds and returns once it holds a name that the
-    last poll did not leave behind (an entry poll could not move to cur),
-    so a stuck entry never ends a wait but mail that lands between a poll
-    and the next wait does. A transport creates each mailbox's directories
-    once.
+    failures are logged and skipped, never fatal. A blocking poll lists new
+    every ``MAILDIR_WAIT_STEP`` seconds and returns once it has moved an
+    entry to cur; an entry it could not read or move is skipped for the
+    rest of the call, so a stuck entry never ends the wait. A lock
+    serializes scans of new, not the sleeps between them. A transport
+    creates each mailbox's directories once.
     """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
         self._boxes: dict[bytes, Path] = {}
-        self._left: dict[Path, set[str]] = {}  # per mailbox: names the last poll left in new
+        self._scan_lock = threading.Lock()
 
     def _maildir(self, identity: bytes) -> Path:
         identity = bytes(identity)
@@ -292,41 +289,36 @@ class MaildirTransport(TransportBackend):
         except OSError as exc:
             raise TransportError(f"maildir write failed: {exc}") from exc
 
-    def poll(self, recipient: bytes) -> list[TransportEnvelope]:
+    def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
         box = self._maildir(recipient)
-        envelopes = []
-        left = set()
-        for path in sorted((box / "new").iterdir()):
-            try:
-                raw = path.read_bytes()
-            except OSError as exc:
-                logger.warning("unreadable maildir entry %s: %s", path.name, exc)
-                left.add(path.name)
-                continue
-            try:
-                envelopes.append(decode_email(raw))
-            except NotPakeMailMessage:
-                logger.debug("ignoring ordinary mail %s", path.name)
-            except (EnvelopeError, ValueError) as exc:
-                logger.warning("skipping malformed message %s: %s", path.name, exc)
-            try:
-                path.rename(box / "cur" / (path.name + ":2,S"))
-            except OSError as exc:
-                logger.warning("could not move maildir entry %s to cur: %s", path.name, exc)
-                left.add(path.name)
-        self._left[box] = left
-        return envelopes
-
-    def wait(self, recipient: bytes, timeout: float) -> None:
-        box = self._maildir(recipient)
-        left = self._left.get(box, set())
         deadline = time.monotonic() + timeout
+        envelopes = []
+        stuck = set()  # entries this call could not read or move
         while True:
-            if not left.issuperset(os.listdir(box / "new")):
-                return
+            with self._scan_lock:
+                fresh = sorted(set(os.listdir(box / "new")) - stuck)
+                for name in fresh:
+                    path = box / "new" / name
+                    try:
+                        raw = path.read_bytes()
+                    except OSError as exc:
+                        logger.warning("unreadable maildir entry %s: %s", name, exc)
+                        stuck.add(name)
+                        continue
+                    try:
+                        envelopes.append(decode_email(raw))
+                    except NotPakeMailMessage:
+                        logger.debug("ignoring ordinary mail %s", name)
+                    except (EnvelopeError, ValueError) as exc:
+                        logger.warning("skipping malformed message %s: %s", name, exc)
+                    try:
+                        path.rename(box / "cur" / (name + ":2,S"))
+                    except OSError as exc:
+                        logger.warning("could not move maildir entry %s to cur: %s", name, exc)
+                        stuck.add(name)
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return
+            if not stuck.issuperset(fresh) or remaining <= 0:
+                return envelopes
             time.sleep(min(MAILDIR_WAIT_STEP, remaining))
 
 
@@ -362,10 +354,14 @@ class ImapSmtpTransport(TransportBackend):
     """Live email backend: sends over SMTP with TLS, polls over IMAP with TLS.
 
     A poll marks every unseen PAKEMAIL-subject message seen, decodable or not.
+    Each fetch is a fresh login, so a blocking poll fetches only once
+    ``IMAP_POLL_INTERVAL`` has passed since the last fetch and sleeps until
+    then; a non-blocking poll always fetches.
     """
 
     def __init__(self, config: MailAccountConfig) -> None:
         self.config = config
+        self._fetched = -math.inf  # time.monotonic() of the last fetch
 
     def send(self, envelope: TransportEnvelope) -> None:
         import smtplib
@@ -378,9 +374,16 @@ class ImapSmtpTransport(TransportBackend):
         except (OSError, smtplib.SMTPException) as exc:
             raise TransportError(f"smtp send failed: {exc}") from exc
 
-    def poll(self, recipient: bytes) -> list[TransportEnvelope]:
+    def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
         import imaplib
 
+        if timeout > 0:
+            pause = self._fetched + IMAP_POLL_INTERVAL - time.monotonic()
+            if pause > 0:
+                time.sleep(min(pause, timeout))
+                if pause > timeout:
+                    return []
+        self._fetched = time.monotonic()
         envelopes = []
         try:
             with imaplib.IMAP4_SSL(self.config.imap_host, self.config.imap_port) as imap:
@@ -405,7 +408,7 @@ class ImapSmtpTransport(TransportBackend):
 # ---------------------------------------------------------------------------
 
 class RelayTransport(TransportBackend):
-    """Client for the store-and-forward relay: PUT on send, GET+ACK on poll, WAIT on wait.
+    """Client for the store-and-forward relay: PUT on send, GET then ACK on poll.
 
     One connection, opened on first use, carries every request; a lock keeps
     requests from interleaving on it. If the relay closed a connection that
@@ -458,8 +461,16 @@ class RelayTransport(TransportBackend):
         if opcode != relay.OP_OK:
             raise TransportError(f"unexpected relay reply opcode {opcode}")
 
-    def poll(self, recipient: bytes) -> list[TransportEnvelope]:
-        opcode, fields = self._roundtrip(relay.encode_frame(relay.OP_GET, [recipient]))
+    def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
+        """GET the recipient's mail, blocking in the relay while there is none.
+
+        A blocking GET holds the connection, so other requests on this client
+        queue behind it. It ends early at the relay's cap or half the socket
+        timeout.
+        """
+        seconds = min(timeout, relay.MAX_WAIT_MS / 1000, (self.timeout or math.inf) / 2)
+        ms = math.ceil(max(seconds, 0) * 1000).to_bytes(4, "big")
+        opcode, fields = self._roundtrip(relay.encode_frame(relay.OP_GET, [recipient, ms]))
         if opcode != relay.OP_LIST or len(fields) % 2:
             raise TransportError("malformed relay LIST reply")
         envelopes = []
@@ -471,16 +482,3 @@ class RelayTransport(TransportBackend):
         if fields:  # malformed blobs are acknowledged too
             self._roundtrip(relay.encode_frame(relay.OP_ACK, [recipient, *fields[::2]]))
         return envelopes
-
-    def wait(self, recipient: bytes, timeout: float) -> None:
-        """Block in a relay WAIT until ``recipient`` has mail or ``timeout`` passes.
-
-        The wait holds the connection, so other requests on this client queue
-        behind it. It ends early at the relay's cap or half the socket timeout.
-        """
-        seconds = min(timeout, relay.MAX_WAIT_MS / 1000, (self.timeout or math.inf) / 2)
-        ms = math.ceil(max(seconds, 0) * 1000)
-        opcode, _ = self._roundtrip(relay.encode_frame(relay.OP_WAIT,
-                                                       [recipient, ms.to_bytes(4, "big")]))
-        if opcode != relay.OP_OK:
-            raise TransportError(f"unexpected relay reply opcode {opcode}")

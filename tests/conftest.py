@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -16,3 +17,15 @@ def toy():
 @pytest.fixture(scope="session")
 def production():
     return get_group("production")
+
+
+@pytest.fixture
+def blocking_poll():
+    """Start ``backend.poll(b"b@x", timeout)`` in a thread; return the thread and its results."""
+    def start(backend, timeout):
+        got = []
+        waiter = threading.Thread(target=lambda: got.extend(backend.poll(b"b@x", timeout)),
+                                  daemon=True)
+        waiter.start()
+        return waiter, got
+    return start

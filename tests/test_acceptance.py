@@ -64,8 +64,8 @@ def _confirmed_pair(group, pw_a, pw_b, *, x=None, y=None,
     sid_a, sid_b = sa.transcript(), sb.transcript()
     ba = derive_bundle(sk_a, sid_a, FPR_A, fpr_b_seen_by_a, Role.INITIATOR)
     bb = derive_bundle(sk_b, sid_b, fpr_a_seen_by_b, FPR_B, Role.RESPONDER)
-    ok_a, key_a = ba.verify_peer_tag(bb.tau_self, FPR_A, fpr_b_seen_by_a, sid_a)
-    ok_b, key_b = bb.verify_peer_tag(ba.tau_self, fpr_a_seen_by_b, FPR_B, sid_b)
+    ok_a, key_a = ba.verify_peer_tag(bb.tau_self)
+    ok_b, key_b = bb.verify_peer_tag(ba.tau_self)
     return ok_a, ok_b, key_a, key_b, sk_a, sk_b
 
 
@@ -241,8 +241,8 @@ def test_criterion_6_transport_equivalence(tmp_path):
             super().send(env)
             super().send(env)  # duplicate every envelope
 
-        def poll(self, recipient):
-            return list(reversed(super().poll(recipient)))  # reorder delivery
+        def poll(self, recipient, timeout=0.0):
+            return list(reversed(super().poll(recipient, timeout)))  # reorder delivery
 
     ma, mb = _managed_pair(tmp_path, NoisyBackend(), toy, "noisy")
     ra, rb = _run_managed(ma, mb)

@@ -61,22 +61,22 @@ def test_tags_match_hmac_oracle():
 def test_honest_verification_releases_same_key():
     ba = derive_bundle(SK, SID, FPR_A, FPR_B, Role.INITIATOR)
     bb = derive_bundle(SK, SID, FPR_A, FPR_B, Role.RESPONDER)
-    ok_a, key_a = ba.verify_peer_tag(bb.tau_self, FPR_A, FPR_B, SID)
-    ok_b, key_b = bb.verify_peer_tag(ba.tau_self, FPR_A, FPR_B, SID)
+    ok_a, key_a = ba.verify_peer_tag(bb.tau_self)
+    ok_b, key_b = bb.verify_peer_tag(ba.tau_self)
     assert ok_a and ok_b
     assert key_a == key_b is not None
 
 
 def test_verify_twice_is_state_error():
     ba = derive_bundle(SK, SID, FPR_A, FPR_B, Role.INITIATOR)
-    ba.verify_peer_tag(b"\x00" * 32, FPR_A, FPR_B, SID)
+    ba.verify_peer_tag(b"\x00" * 32)
     with pytest.raises(StateError):
-        ba.verify_peer_tag(b"\x00" * 32, FPR_A, FPR_B, SID)
+        ba.verify_peer_tag(b"\x00" * 32)
 
 
 def test_failed_verification_withholds_key():
     ba = derive_bundle(SK, SID, FPR_A, FPR_B, Role.INITIATOR)
-    ok, key = ba.verify_peer_tag(b"\x00" * 32, FPR_A, FPR_B, SID)
+    ok, key = ba.verify_peer_tag(b"\x00" * 32)
     assert not ok and key is None
     assert ba.accepted is False
 
@@ -92,8 +92,8 @@ def _full_run(toy, pw_a, pw_b, fpr_b_view_a=FPR_B, fpr_a_view_b=FPR_A,
     sid_b = sb.transcript() + sid_suffix
     ba = derive_bundle(sk_a, sid_a, FPR_A, fpr_b_view_a, Role.INITIATOR)
     bb = derive_bundle(sk_b, sid_b, fpr_a_view_b, FPR_B, Role.RESPONDER)
-    ok_a, key_a = ba.verify_peer_tag(bb.tau_self, FPR_A, fpr_b_view_a, sid_a)
-    ok_b, key_b = bb.verify_peer_tag(ba.tau_self, fpr_a_view_b, FPR_B, sid_b)
+    ok_a, key_a = ba.verify_peer_tag(bb.tau_self)
+    ok_b, key_b = bb.verify_peer_tag(ba.tau_self)
     return ok_a, ok_b, key_a, key_b
 
 
@@ -138,6 +138,6 @@ def test_embedded_fingerprint_mismatch_diverges_and_rejects(toy):
     assert sk_a != sk_b  # keys diverge before confirmation
     ba = derive_bundle(sk_a, sa.transcript(), FPR_A, FPR_B, Role.INITIATOR)
     bb = derive_bundle(sk_b, sb.transcript(), FPR_A, FPR_B, Role.RESPONDER)
-    ok_a, _ = ba.verify_peer_tag(bb.tau_self, FPR_A, FPR_B, sa.transcript())
-    ok_b, _ = bb.verify_peer_tag(ba.tau_self, FPR_A, FPR_B, sb.transcript())
+    ok_a, _ = ba.verify_peer_tag(bb.tau_self)
+    ok_b, _ = bb.verify_peer_tag(ba.tau_self)
     assert not ok_a and not ok_b

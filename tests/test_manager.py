@@ -186,29 +186,18 @@ def test_keystore_refuses_a_corrupt_middle_record(tmp_path):
     assert bytes(range(32)).hex() not in str(err.value)
 
 
-def test_keystore_v1_file_is_rewritten_as_v2(tmp_path):
+def test_keystore_v1_file_is_refused_and_left_alone(tmp_path):
     path = tmp_path / "s.ks"
-    fpr = "ab" * 20
-    path.write_text("\n".join([
+    v1 = "\n".join([
         "pakemail-keystore v1",
-        'self {"identity": "%s", "fingerprint": "%s"}' % (IDA.hex(), fpr),
+        'self {"identity": "%s", "fingerprint": "%s"}' % (IDA.hex(), "ab" * 20),
         'peer {"identity": "%s", "fingerprint": null, "authenticated": true, '
         '"chained_key": "%s", "failed_attempts": 1}' % (IDB.hex(), "11" * 32),
-        'exchange {"exchange_id": "%s", "peer": "%s", "role": "initiator", '
-        '"outcome": "success", "started_at": 1700000001.0, "ended_at": 1700000001.25}'
-        % (bytes(15).hex() + "01", IDB.hex()),
-    ]) + "\n")
-    ks = Keystore(path, IDA)
-    assert ks.self_fingerprint.hex == fpr
-    assert ks.peer(IDB).chained_key == bytes([0x11]) * 32
-    assert ks.peer(IDB).failed_attempts == 1
-    assert ks.exchanges == [_exchange(1)]
-    ks.record_exchange(_exchange(2))
-    assert path.read_text().startswith("pakemail-keystore v2\n")
-    back = Keystore(path, IDA)
-    assert back.self_fingerprint.hex == fpr
-    assert back.peer(IDB).authenticated and back.peer(IDB).failed_attempts == 1
-    assert back.exchanges == [_exchange(1), _exchange(2)]
+    ]) + "\n"
+    path.write_text(v1)
+    with pytest.raises(ManagerError, match="not a pakemail-keystore v2 file"):
+        Keystore(path, IDA)
+    assert path.read_text() == v1
 
 
 def test_keystore_append_size_does_not_grow_with_history(tmp_path):
@@ -403,8 +392,8 @@ def test_duplicate_and_reordered_envelopes_tolerated(tmp_path, toy):
             super().send(env)
             super().send(env)  # duplicate everything
 
-        def poll(self, recipient):
-            return list(reversed(super().poll(recipient)))  # reorder
+        def poll(self, recipient, timeout=0.0):
+            return list(reversed(super().poll(recipient, timeout)))  # reorder
 
     ma, mb = make_pair(tmp_path, toy, backend=NoisyBackend())
     ra, rb = run_both(ma, mb, b"pw", b"pw")
@@ -444,6 +433,20 @@ def test_dedupe_window_stays_bounded_and_drops_close_duplicates(tmp_path, toy):
     assert mb.recv_sealed(timeout=2.0) == [(IDA, b"once")]
     backend.send(sent[-1])
     assert mb.recv_sealed(timeout=0) == []
+
+
+def test_unknown_senders_do_not_grow_the_keystore(tmp_path, toy):
+    backend = LoopbackTransport()
+    _, mb = make_pair(tmp_path, toy, backend=backend)
+    peers = dict(mb.keystore.peers)
+    size = (tmp_path / "b.ks").stat().st_size
+    for n in range(1000):
+        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_DATA, b"stranger%d@x" % n,
+                                       IDB, b"junk"))
+    assert mb.recv_sealed(timeout=0) == []
+    mb.keystore.save()
+    assert mb.keystore.peers == peers
+    assert (tmp_path / "b.ks").stat().st_size == size
 
 
 def test_garbage_pake_payload_is_protocol_error(tmp_path, toy):

@@ -14,7 +14,6 @@ from pakemail.relay import (
     OP_LIST,
     OP_OK,
     OP_PUT,
-    OP_WAIT,
     MAX_BLOB,
     MAX_FRAME,
     FrameError,
@@ -51,7 +50,7 @@ KNOWN_FRAMES = [
     (OP_OK, [], "00000001" "03"),
     (OP_ERR, [b"no"], "00000007" "04" "000000026e6f"),
     (OP_LIST, [bytes(8), b"blob"], "00000015" "05" "000000080000000000000000" "00000004626c6f62"),
-    (OP_WAIT, [b"bob", (5).to_bytes(4, "big")], "00000010" "06" "00000003626f62" "0000000400000005"),
+    (OP_GET, [b"bob", (5).to_bytes(4, "big")], "00000010" "01" "00000003626f62" "0000000400000005"),
 ]
 
 
@@ -154,8 +153,8 @@ def test_store_cuts_a_torn_tail_before_appending(tmp_path):
     encode_frame(OP_PUT, [b"SECRET-BLOB"]),  # PUT with one field
     encode_frame(42, [b"SECRET-BLOB"]),
     bytes(4),  # empty frame
-    # a WAIT is never logged; applying one would block replay on an empty mailbox
-    encode_frame(OP_WAIT, [b"nobody", (0xFFFFFFFF).to_bytes(4, "big")]),
+    # a GET is never logged; applying one would block replay on an empty mailbox
+    encode_frame(OP_GET, [b"nobody", (0xFFFFFFFF).to_bytes(4, "big")]),
 ], ids=["undecodable", "put-one-field", "unknown-opcode", "empty", "wait"])
 def test_store_skips_a_malformed_middle_frame(tmp_path, caplog, bad_frame):
     log = tmp_path / "relay.log"
@@ -285,8 +284,7 @@ def test_relay_client_keeps_one_connection(monkeypatch):
         client = RelayTransport(*srv.address)
         for n in range(10):
             client.send(_envelope(n))
-            client.wait(b"b@x", 1.0)
-            assert client.poll(b"b@x") == [_envelope(n)]
+            assert client.poll(b"b@x", 1.0) == [_envelope(n)]
         client.close()
     assert len(accepted) == 1
 
@@ -298,7 +296,7 @@ def test_relay_client_replaces_a_dropped_connection():
     client.send(_envelope(1))
     first.stop()  # ends the connection the client keeps
     with RelayServer((host, port)) as second:
-        client.wait(b"b@x", 0.01)
+        assert client.poll(b"b@x", 0.01) == []
         client.send(_envelope(2))
         assert client.poll(b"b@x") == [_envelope(2)]
         assert _blobs(second.store, b"b@x") == []
@@ -340,57 +338,54 @@ def test_a_backlog_over_one_frame_drains_over_several_polls():
 
 @pytest.fixture
 def long_waits(monkeypatch):
-    # lift the relay's cap on one WAIT, so only a wake-up can end it early
+    # lift the relay's cap on one blocking GET, so only a wake-up can end it early
     monkeypatch.setattr(relay, "MAX_WAIT_MS", 600_000)
 
 
-def test_relay_wait_wakes_on_delivery(long_waits):
+def test_relay_wait_wakes_on_delivery(long_waits, blocking_poll):
     with RelayServer() as srv:
         waiting = RelayTransport(*srv.address, timeout=600)
         sending = RelayTransport(*srv.address)
-        waiter = threading.Thread(target=waiting.wait, args=(b"b@x", 60))
-        waiter.start()
+        waiter, got = blocking_poll(waiting, 60)
         sending.send(TransportEnvelope(bytes(16), 9, b"a@x", b"c@x", b"other"))
         waiter.join(0.2)
         assert waiter.is_alive()  # mail for someone else does not release it
         sending.send(_envelope(1))  # PUT on another client's connection
         waiter.join(5)
         assert not waiter.is_alive()
-        waiter = threading.Thread(target=waiting.wait, args=(b"b@x", 60))
-        waiter.start()
-        waiter.join(5)
-        assert not waiter.is_alive()  # mail already there: no wait at all
-        assert waiting.poll(b"b@x") == [_envelope(1)]  # waiting takes nothing out
+        assert got == [_envelope(1)]
+        sending.send(_envelope(2))
+        assert waiting.poll(b"b@x", 60) == [_envelope(2)]  # mail already there: no wait at all
         waiting.close()
         sending.close()
 
 
-def test_relay_wait_without_mail_returns_after_its_timeout():
+def test_relay_wait_without_mail_returns_after_its_timeout(blocking_poll):
     with RelayServer() as srv:
         client = RelayTransport(*srv.address)
-        waiter = threading.Thread(target=client.wait, args=(b"b@x", 0.01))
-        waiter.start()
+        waiter, got = blocking_poll(client, 0.01)
         waiter.join(5)
         assert not waiter.is_alive()
-        assert client.poll(b"b@x") == []
+        assert got == []
         client.close()
 
 
 def test_stop_ends_a_wait_in_progress(long_waits, monkeypatch):
     entered = threading.Event()
-    store_wait = MailboxStore.wait
+    store_get = MailboxStore.get
 
-    def wait(self, recipient, timeout):
-        entered.set()
-        store_wait(self, recipient, timeout)
+    def get(self, recipient, timeout=0.0):
+        if timeout:
+            entered.set()
+        return store_get(self, recipient, timeout)
 
-    monkeypatch.setattr(MailboxStore, "wait", wait)
+    monkeypatch.setattr(MailboxStore, "get", get)
     srv = RelayServer().start()
     client = RelayTransport(*srv.address, timeout=600)
 
     def wait_out():
         with contextlib.suppress(TransportError):  # the relay went away mid-wait
-            client.wait(b"b@x", 60)
+            client.poll(b"b@x", 60)
 
     waiter = threading.Thread(target=wait_out)
     waiter.start()
@@ -402,7 +397,7 @@ def test_stop_ends_a_wait_in_progress(long_waits, monkeypatch):
     waiter.join(5)
     assert not waiter.is_alive()
     with pytest.raises(TransportError):
-        client.wait(b"b@x", 0.01)
+        client.poll(b"b@x", 0.01)
     client.close()
 
 

@@ -1,6 +1,7 @@
 import email
 import email.policy
 import imaplib
+import os
 import secrets
 import smtplib
 import threading
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from pakemail import sealed
 from pakemail.confirm import Fingerprint
+from pakemail.manager import Keystore, SessionManager
 from pakemail.transport import (
+    FLOW_DATA,
     EnvelopeError,
     ImapSmtpTransport,
     LoopbackTransport,
@@ -94,27 +98,27 @@ def test_loopback_interleaved_sessions():
 # Email encoding
 # ---------------------------------------------------------------------------
 
-def test_loopback_wait_wakes_on_delivery():
+def test_loopback_wait_wakes_on_delivery(blocking_poll):
     backend = LoopbackTransport()
-    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 30))
-    waiter.start()
+    waiter, got = blocking_poll(backend, 30)
     backend.send(env(recipient=b"c@x"))  # mail for someone else does not release it
     waiter.join(0.2)
     assert waiter.is_alive()
-    backend.send(env(recipient=b"b@x"))
+    e = env(recipient=b"b@x")
+    backend.send(e)
     waiter.join(5)
     assert not waiter.is_alive()
-    backend.wait(b"b@x", 30)  # mail already there: no wait at all
-    assert len(backend.poll(b"b@x")) == 1  # waiting takes nothing out
+    assert got == [e]
+    backend.send(e)
+    assert backend.poll(b"b@x", 30) == [e]  # mail already there: no wait at all
 
 
-def test_loopback_wait_without_mail_returns_after_its_timeout():
+def test_loopback_wait_without_mail_returns_after_its_timeout(blocking_poll):
     backend = LoopbackTransport()
-    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 0.01))
-    waiter.start()
+    waiter, got = blocking_poll(backend, 0.01)
     waiter.join(5)
     assert not waiter.is_alive()
-    assert backend.poll(b"b@x") == []
+    assert got == []
 
 
 def test_email_roundtrip():
@@ -276,20 +280,20 @@ def test_maildir_ignores_ordinary_mail(tmp_path):
     assert len(got) == 1  # only the real envelope
 
 
-def test_maildir_wait_wakes_when_mail_lands(tmp_path):
+def test_maildir_wait_wakes_when_mail_lands(tmp_path, blocking_poll):
     receiver = MaildirTransport(tmp_path)
-    assert receiver.poll(b"b@x") == []
-    waiter = threading.Thread(target=receiver.wait, args=(b"b@x", 30))
-    waiter.start()
+    waiter, got = blocking_poll(receiver, 30)
     sender = MaildirTransport(tmp_path)  # another transport on the same root
     sender.send(env(recipient=b"c@x"))  # mail for someone else does not release it
     waiter.join(0.2)
     assert waiter.is_alive()
-    sender.send(env(recipient=b"b@x"))
+    e = env(recipient=b"b@x")
+    sender.send(e)
     waiter.join(5)
     assert not waiter.is_alive()
-    receiver.wait(b"b@x", 30)  # mail already there: no wait at all
-    assert len(receiver.poll(b"b@x")) == 1  # waiting takes nothing out
+    assert got == [e]
+    sender.send(e)
+    assert receiver.poll(b"b@x", 30) == [e]  # mail already there: no wait at all
 
 
 def _stuck_directory(backend, box, monkeypatch):
@@ -299,44 +303,46 @@ def _stuck_directory(backend, box, monkeypatch):
 
 
 def _stuck_message(backend, box, monkeypatch):
+    e = env()
+    backend.send(e)
+    stuck = set(os.listdir(box / "new"))
     rename = Path.rename
 
     def refuse_cur(self, target):
-        if Path(target).parent.name == "cur":
+        if self.name in stuck and Path(target).parent.name == "cur":
             raise PermissionError(13, "Permission denied")
         return rename(self, target)
 
     monkeypatch.setattr(Path, "rename", refuse_cur)
-    e = env()
-    backend.send(e)
     assert backend.poll(b"b@x") == [e]  # read, but not moved to cur
     return "could not move"
 
 
 @pytest.mark.parametrize("stick", [_stuck_directory, _stuck_message])
-def test_maildir_wait_ignores_what_poll_could_not_move(tmp_path, caplog, monkeypatch, stick):
+def test_maildir_wait_ignores_what_poll_could_not_move(tmp_path, caplog, monkeypatch, stick,
+                                                       blocking_poll):
     backend = MaildirTransport(tmp_path)
     backend.poll(b"b@x")  # creates the mailbox
     box = next(p for p in tmp_path.iterdir() if p.is_dir())
     with caplog.at_level("WARNING"):
         warning = stick(backend, box, monkeypatch)
     assert any(warning in rec.message for rec in caplog.records)
-    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 30))
-    waiter.start()
+    waiter, got = blocking_poll(backend, 30)
     waiter.join(0.2)
     assert waiter.is_alive()
-    backend.send(env())  # a new name still releases it
+    e = env()
+    backend.send(e)  # a new entry still ends the wait
     waiter.join(5)
     assert not waiter.is_alive()
+    assert got[-1] == e
 
 
-def test_maildir_wait_without_mail_returns_after_its_timeout(tmp_path):
+def test_maildir_wait_without_mail_returns_after_its_timeout(tmp_path, blocking_poll):
     backend = MaildirTransport(tmp_path)
-    waiter = threading.Thread(target=backend.wait, args=(b"b@x", 0.01))
-    waiter.start()
+    waiter, got = blocking_poll(backend, 0.01)
     waiter.join(5)
     assert not waiter.is_alive()
-    assert backend.poll(b"b@x") == []
+    assert got == []
 
 
 def test_maildir_creates_a_mailbox_once(tmp_path, monkeypatch):
@@ -350,7 +356,7 @@ def test_maildir_creates_a_mailbox_once(tmp_path, monkeypatch):
     for _ in range(3):
         assert len(backend.poll(b"b@x")) == 1
         backend.send(env())
-    backend.wait(b"b@x", 0)
+    assert len(backend.poll(b"b@x", 0.01)) == 1
     assert len(made) == first_use
 
 
@@ -467,6 +473,21 @@ def test_imap_smtp_send_then_poll(mailbox):
         ("imap", ("imap.example", 993), "b@x", "app-password"),
         ("imap", ("imap.example", 993), "b@x", "app-password"),
     ]
+
+
+def test_imap_waiting_receiver_logs_in_rarely_and_still_gets_mail(mailbox, tmp_path, toy):
+    key = bytes(range(32))
+    keystore = Keystore(tmp_path / "b.ks", b"b@x")
+    keystore.peer(b"a@x").chained_key = key
+    receiver = SessionManager(keystore, ImapSmtpTransport(ACCOUNT), toy)
+    message = env(flow=FLOW_DATA, payload=sealed.seal(key, b"hello").to_bytes())
+    delivery = threading.Timer(0.1, mailbox.deliver, [encode_email(message)])
+    delivery.start()
+    try:
+        assert receiver.recv_sealed(timeout=1.0) == [(b"a@x", b"hello")]
+    finally:
+        delivery.join(5)
+    assert len([login for login in mailbox.logins if login[0] == "imap"]) <= 2
 
 
 def test_imap_poll_returns_only_envelopes_and_marks_the_rest_seen(mailbox):
