@@ -7,9 +7,14 @@ Three strategies:
   with some random tape, so the observer can never single out the password.
 * ``active-one-guess`` — plays responder against an honest initiator with
   one dictionary guess per session; succeeds only when the guess matches.
-* ``guess-and-abort`` — same single guess, but on a mismatch the adversary
-  drops its confirmation tag to look like a network failure. The honest
-  side's history then shows a timeout for that exchange, never a gap.
+* ``guess-and-abort`` — same single guess, but the adversary checks the
+  honest tag first and, on a mismatch, withholds its own to look like a
+  network failure. The honest engine then expires, so its history shows a
+  timeout for that exchange, never a gap.
+
+Each trial runs two real :class:`~pakemail.exchange.Exchange` engines, an
+honest initiator and the adversary's responder, and tallies the outcome
+the honest engine reached.
 
 A caveat specific to the brute-forceable group: its order (11) is smaller
 than useful dictionaries, so distinct passwords can collide in their
@@ -27,10 +32,10 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from . import confirm, pake
+from . import pake
 from .confirm import Fingerprint
+from .exchange import Exchange, Outcome
 from .groups import ToyGroup, get_group
-from .manager import Outcome
 from .pake import Role
 
 
@@ -56,24 +61,29 @@ _ID_A = b"alice@example.org"
 _ID_B = b"bob@example.org"
 _FPR_A = Fingerprint(bytes(range(20)))
 _FPR_B = Fingerprint(bytes(range(20, 40)))
-_SID_SUFFIX = b"harness"
+_EXCHANGE_ID = bytes(16)
 
 
-def _confirmed_run(password_a: bytes, password_b: bytes, group, rng_a, rng_b) -> tuple[bool, dict]:
-    """One full honest-shaped run; returns (tags_matched, transcript log)."""
-    sa = pake.PakeSession(Role.INITIATOR, _ID_A, _ID_B, password_a, group, rng=rng_a)
-    sb = pake.PakeSession(Role.RESPONDER, _ID_B, _ID_A, password_b, group, rng=rng_b)
-    msg_a, msg_b = sa.start(), sb.start()
-    sk_a = sa.finish(msg_b)
-    sk_b = sb.finish(msg_a)
-    sid_a = sa.transcript() + _SID_SUFFIX
-    sid_b = sb.transcript() + _SID_SUFFIX
-    ba = confirm.derive_bundle(sk_a, sid_a, _FPR_A, _FPR_B, Role.INITIATOR)
-    bb = confirm.derive_bundle(sk_b, sid_b, _FPR_A, _FPR_B, Role.RESPONDER)
-    ok_a, _ = ba.verify_peer_tag(bb.tau_self)
-    ok_b, _ = bb.verify_peer_tag(ba.tau_self)
-    log = {"msg_a": msg_a, "msg_b": msg_b, "tau_a": ba.tau_self, "tau_b": bb.tau_self}
-    return ok_a and ok_b, log
+def _run(password: bytes, guess: bytes, group, rng, withhold: bool) -> tuple[Outcome, bytes]:
+    """One exchange between an honest initiator and a responder holding ``guess``.
+
+    Returns the honest engine's outcome and its opening share. With
+    ``withhold``, the responder checks the honest tag before it releases
+    its own and, on a mismatch, never does: the honest engine expires.
+    """
+    honest = Exchange(Role.INITIATOR, _ID_A, _ID_B, password, group, _FPR_A,
+                      exchange_id=_EXCHANGE_ID, rng=rng)
+    other = Exchange(Role.RESPONDER, _ID_B, _ID_A, guess, group, _FPR_B, rng=rng)
+    [opening], [share] = honest.start(), other.start()
+    [tag] = other.receive(_EXCHANGE_ID, *opening)
+    [honest_tag] = honest.receive(_EXCHANGE_ID, *share)
+    if withhold:  # the other strategies never look at the honest tag
+        other.receive(_EXCHANGE_ID, *honest_tag)
+    if withhold and other.outcome is not Outcome.SUCCESS:
+        honest.expire()
+    else:
+        honest.receive(_EXCHANGE_ID, *tag)
+    return honest.outcome, opening[1]
 
 
 def _dlog_table(group) -> dict:
@@ -88,7 +98,7 @@ def _blinds(dictionary, group) -> list[tuple[bytes, object]]:
             for candidate in dictionary]
 
 
-def _passive_candidates(log: dict, blinds, group, dlog: dict) -> list[bytes]:
+def _passive_candidates(opening: bytes, blinds, group, dlog: dict) -> list[bytes]:
     """Candidates still consistent with the observed transcript.
 
     In the toy group discrete logs are a table lookup, so this actually
@@ -96,7 +106,7 @@ def _passive_candidates(log: dict, blinds, group, dlog: dict) -> list[bytes]:
     a candidate is consistent iff X* / M^pi has a discrete log in ``dlog``,
     which it always does in a cyclic group.
     """
-    x_star = group.decode(log["msg_a"])
+    x_star = group.decode(opening)
     return [candidate for candidate, blind in blinds if group.div(x_star, blind) in dlog]
 
 
@@ -120,30 +130,20 @@ def adversary_harness(dictionary: list[bytes], strategy: Strategy | str,
     def rng(order, _r=rnd):
         return _r.randrange(order)
 
+    passive, withhold = strategy is Strategy.PASSIVE, strategy is Strategy.GUESS_AND_ABORT
     for _ in range(trials):
         stats.trials += 1
         password = rnd.choice(pool)
-
-        if strategy is Strategy.PASSIVE:
-            matched, log = _confirmed_run(password, password, group, rng, rng)
-            assert matched
-            candidates = _passive_candidates(log, blinds, group, dlog)
+        guess = password if passive else rnd.choice(dictionary)
+        outcome, opening = _run(password, guess, group, rng, withhold)
+        stats.honest_outcomes[outcome] += 1
+        if passive:
+            assert outcome is Outcome.SUCCESS
+            candidates = _passive_candidates(opening, blinds, group, dlog)
             # unique candidate would mean the transcript leaked the password
             if len(candidates) == 1 and candidates[0] == password and len(dictionary) > 1:
                 stats.adversary_successes += 1
-            stats.honest_outcomes[Outcome.SUCCESS] += 1
-            continue
-
-        guess = rnd.choice(dictionary)
-        matched, _ = _confirmed_run(password, guess, group, rng, rng)
-        assert matched == (guess == password) or matched  # collisions only help
-        if guess == password:
+        elif guess == password:
             stats.adversary_successes += 1
-        if matched:
-            stats.honest_outcomes[Outcome.SUCCESS] += 1
-        elif strategy is Strategy.ACTIVE_ONE_GUESS:
-            stats.honest_outcomes[Outcome.PASSWORD_MISMATCH] += 1
-        else:  # guess-and-abort: the mismatching tag is dropped, not delivered
-            stats.honest_outcomes[Outcome.ABORTED_BY_TIMEOUT] += 1
 
     return stats

@@ -1,15 +1,15 @@
 """Keystore persistence and the exchange driver.
 
-The :class:`SessionManager` runs complete four-flow authentications over
-any transport backend, enforces the failed-attempt lockout, keeps a
-persistent exchange history (so a silent guess-and-abort shows up as a
-timeout, not nothing), and re-authenticates renewed key material by
-chaining the stored high-entropy key into the next run as its password.
+The :class:`SessionManager` drives the four-flow exchange engine of
+:mod:`pakemail.exchange` over any transport backend, enforces the
+failed-attempt lockout, keeps a persistent exchange history (a silent
+guess-and-abort shows up as a timeout, not nothing: the engine expires at
+the deadline), and re-authenticates renewed key material by chaining the
+stored high-entropy key into the next run as its password.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import logging
 import os
@@ -18,20 +18,18 @@ import tempfile
 import threading
 import time
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import confirm, pake, sealed, wire
+from . import sealed
 from .confirm import Fingerprint
+from .exchange import Exchange, Outcome
 from .groups import Group
 from .pake import Role
 from .transport import (
     FLOW_DATA,
     FLOW_INITIATOR_PAKE,
-    FLOW_INITIATOR_TAG,
-    FLOW_RESPONDER_PAKE,
-    FLOW_RESPONDER_TAG,
     TransportBackend,
     TransportEnvelope,
     fresh_exchange_id,
@@ -39,10 +37,11 @@ from .transport import (
 
 KEYSTORE_HEADER = "pakemail-keystore v2"
 # the longest single blocking poll: a thread serving another peer may have
-# moved this thread's envelope into the shared inbox, and would not wake it
+# filed this thread's envelope, and would not wake it
 POLL_INTERVAL = 0.005
-# how many recently handled (exchange id, flow) keys are remembered to drop
-# transport duplicates, which land right behind their original
+# how many recently filed (exchange id, flow) keys are remembered to drop
+# transport duplicates, which land right behind their original; also the
+# most openings and data messages a manager holds
 DEDUPE_WINDOW = 4096
 
 logger = logging.getLogger(__name__)
@@ -58,13 +57,6 @@ class LockedOutError(ManagerError):
 
 class NoChainError(ManagerError):
     """No stored chained key for this peer."""
-
-
-class Outcome(enum.Enum):
-    SUCCESS = "success"
-    PASSWORD_MISMATCH = "password-mismatch"
-    ABORTED_BY_TIMEOUT = "aborted-by-timeout"
-    PROTOCOL_ERROR = "protocol-error"
 
 
 @dataclass
@@ -435,12 +427,24 @@ def assign_role(self_id: bytes, peer_id: bytes) -> Role:
     return Role.INITIATOR if bytes(self_id) < bytes(peer_id) else Role.RESPONDER
 
 
-def _sid(session: pake.PakeSession, exchange_id: bytes) -> bytes:
-    return session.transcript() + wire.pack([exchange_id])
+def _remember(window: OrderedDict, key, value) -> None:
+    """Put ``key`` last in ``window``, forgetting the oldest beyond ``DEDUPE_WINDOW``."""
+    window.pop(key, None)
+    window[key] = value
+    if len(window) > DEDUPE_WINDOW:
+        window.popitem(last=False)
 
 
 class SessionManager:
-    """Drives exchanges for one client identity over one backend."""
+    """Drives exchanges for one client identity over one backend.
+
+    Each ``authenticate`` call drives one :class:`~pakemail.exchange.Exchange`.
+    Whichever thread polls files each new envelope: under the exchange it
+    belongs to if this manager runs that exchange, else as the newest
+    opening from its sender, or as a data message. Everything else is
+    dropped, and so is an (exchange id, flow) already seen among the last
+    ``DEDUPE_WINDOW``. No container here grows past ``DEDUPE_WINDOW``.
+    """
 
     def __init__(self, keystore: Keystore, backend: TransportBackend, group: Group,
                  policy: AttemptPolicy | None = None):
@@ -448,10 +452,14 @@ class SessionManager:
         self.backend = backend
         self.group = group
         self.policy = policy if policy is not None else AttemptPolicy()
-        self._inbox: dict[tuple[bytes, int], TransportEnvelope] = {}
+        # filed under _lock by whichever thread polls, since threads serving
+        # several peers share them: envelopes waiting for the exchanges this
+        # manager runs, by exchange id; the newest opening per sender; data
+        self._running: dict[bytes, list[TransportEnvelope]] = {}
+        self._openings: OrderedDict[bytes, TransportEnvelope] = OrderedDict()
+        self._data: deque[TransportEnvelope] = deque(maxlen=DEDUPE_WINDOW)
         self._processed: OrderedDict[tuple[bytes, int], None] = OrderedDict()
-        # threads serving several peers share the inbox
-        self._inbox_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     @property
     def identity(self) -> bytes:
@@ -459,68 +467,42 @@ class SessionManager:
 
     # -- envelope plumbing -------------------------------------------------
 
-    def _mark_processed(self, keys) -> None:
-        """Remember handled keys, forgetting the oldest beyond ``DEDUPE_WINDOW``."""
-        for key in keys:
-            self._processed[key] = None
-        while len(self._processed) > DEDUPE_WINDOW:
-            self._processed.popitem(last=False)
+    def _file(self, env: TransportEnvelope) -> None:
+        key = (env.exchange_id, env.flow)
+        if key in self._processed:
+            return  # at-least-once delivery: drop duplicates
+        _remember(self._processed, key, None)
+        if env.exchange_id in self._running:
+            self._running[env.exchange_id].append(env)
+        elif env.flow == FLOW_INITIATOR_PAKE:
+            # older openings are ones the sender has given up on
+            _remember(self._openings, env.sender, env)
+        elif env.flow == FLOW_DATA:
+            self._data.append(env)  # when full, the oldest waiting message is dropped
 
     def _receive(self, deadline: float, pick):
-        """Poll until ``pick()`` takes something from the inbox or the deadline passes.
+        """Poll until ``pick()`` takes something or the deadline passes.
 
         The first poll does not block; later ones block for at most
-        ``POLL_INTERVAL``. ``pick`` runs under the inbox lock and returns
-        what it took, falsy for nothing; the last pick is returned.
+        ``POLL_INTERVAL``. ``pick`` runs under the lock and returns what it
+        took, falsy for nothing; the last pick is returned.
         """
         timeout = 0.0
         while True:
             envelopes = self.backend.poll(self.identity, timeout)
-            with self._inbox_lock:
+            with self._lock:
                 for env in envelopes:
-                    key = (env.exchange_id, env.flow)
-                    if key not in self._processed and key not in self._inbox:
-                        self._inbox[key] = env  # at-least-once delivery: drop duplicates
+                    self._file(env)
                 taken = pick()
             remaining = deadline - time.monotonic()
             if taken or remaining <= 0:
                 return taken
             timeout = min(remaining, POLL_INTERVAL)
 
-    def _wait_for(self, flow: int, deadline: float, exchange_id: bytes | None = None,
-                  sender: bytes | None = None) -> TransportEnvelope | None:
-        """Block until a matching flow arrives or the deadline passes.
-
-        With ``exchange_id=None`` (responder waiting for a first flow) any
-        exchange from ``sender`` matches, and the one that arrived last wins:
-        older ones are openings the sender has given up on, and are dropped
-        as superseded. Early-arriving later flows stay buffered in the inbox.
-        """
-        def pick() -> TransportEnvelope | None:
-            matches = [key for key, env in self._inbox.items()
-                       if key[1] == flow
-                       and (exchange_id is None or key[0] == exchange_id)
-                       and (sender is None or env.sender == sender)]
-            if not matches:
-                return None
-            *superseded, newest = matches  # in arrival order, as the inbox keeps them
-            for key in superseded:
-                del self._inbox[key]
-            self._mark_processed(matches)
-            return self._inbox.pop(newest)
-
-        return self._receive(deadline, pick)
-
-    def _send(self, peer: bytes, exchange_id: bytes, flow: int, payload: bytes,
-              with_fingerprint: bool = False) -> None:
-        self.backend.send(TransportEnvelope(
-            exchange_id=exchange_id,
-            flow=flow,
-            sender=self.identity,
-            recipient=bytes(peer),
-            payload=payload,
-            fingerprint=self.keystore.self_fingerprint if with_fingerprint else None,
-        ))
+    def _send(self, peer: bytes, exchange_id: bytes, flows) -> None:
+        for flow, payload, fingerprint in flows:
+            self.backend.send(TransportEnvelope(
+                exchange_id, flow, self.identity, bytes(peer), payload, fingerprint))
 
     # -- authentication ----------------------------------------------------
 
@@ -541,96 +523,63 @@ class SessionManager:
                 "operator override required")
         if role is None:
             role = assign_role(self.identity, peer)
-        if binding not in ("kc", "pi"):
-            raise ValueError(f"unknown binding {binding!r}")
+        if binding == "pi" and record.fingerprint is None:
+            raise ManagerError("in-pi binding needs the peer fingerprint in the keystore")
         deadline = time.monotonic() + (timeout if timeout is not None else self.policy.timeout)
         started = time.time()
-        outcome, exchange_id, key, peer_fpr = self._run_exchange(
-            peer, password, role, binding, deadline)
-        self._finalize(peer, exchange_id, role, outcome, started, key, peer_fpr)
-        return AuthResult(outcome, exchange_id, key)
-
-    def _run_exchange(self, peer: bytes, password: bytes, role: Role, binding: str,
-                      deadline: float) -> tuple[Outcome, bytes | None, bytes | None,
-                                                Fingerprint | None]:
-        """(outcome, exchange id, key, peer fingerprint); key and fingerprint on success."""
-        record = self.keystore.peer(peer)
         exchange_id = fresh_exchange_id() if role is Role.INITIATOR else None
+        engine = Exchange(role, self.identity, peer, password, self.group,
+                          self.keystore.self_fingerprint, record.fingerprint,
+                          exchange_id=exchange_id, binding=binding)
 
-        if binding == "pi":
-            if record.fingerprint is None:
-                raise ManagerError("in-pi binding needs the peer fingerprint in the keystore")
-            fprs = self._ordered_fingerprints(role, record.fingerprint)
-            password = confirm.embed_fingerprints_in_secret(password, *fprs)
+        def pick() -> list[TransportEnvelope]:
+            nonlocal exchange_id
+            if exchange_id is None:  # a responder answers the newest opening from its peer
+                opening = self._openings.pop(peer, None)
+                if opening is None:
+                    return []
+                exchange_id = opening.exchange_id
+                self._running[exchange_id] = [opening]
+            taken, self._running[exchange_id] = self._running[exchange_id], []
+            return taken
 
-        if role is Role.INITIATOR:
-            session = pake.PakeSession(role, self.identity, peer, password, self.group)
-            first = session.start()
-            self._send(peer, exchange_id, FLOW_INITIATOR_PAKE, first, with_fingerprint=True)
-            reply = self._wait_for(FLOW_RESPONDER_PAKE, deadline, exchange_id)
-            if reply is None:
-                return Outcome.ABORTED_BY_TIMEOUT, exchange_id, None, None
-            peer_fpr = reply.fingerprint or record.fingerprint
-        else:
-            opening = self._wait_for(FLOW_INITIATOR_PAKE, deadline, sender=peer)
-            if opening is None:
-                return Outcome.ABORTED_BY_TIMEOUT, None, None, None
-            exchange_id = opening.exchange_id
-            session = pake.PakeSession(role, self.identity, peer, password, self.group)
-            first = session.start()
-            self._send(peer, exchange_id, FLOW_RESPONDER_PAKE, first, with_fingerprint=True)
-            reply = opening
-            peer_fpr = opening.fingerprint or record.fingerprint
-
-        if peer_fpr is None:
-            return Outcome.PROTOCOL_ERROR, exchange_id, None, None
-
+        share = engine.start()
         try:
-            sk = session.finish(reply.payload)
-        except Exception:
-            return Outcome.PROTOCOL_ERROR, exchange_id, None, None
+            if role is Role.INITIATOR:
+                with self._lock:
+                    self._running[exchange_id] = []
+                self._send(peer, exchange_id, share)
+                share = None
+            while engine.outcome is None:
+                envelopes = self._receive(deadline, pick)
+                if not envelopes:
+                    engine.expire()
+                elif share:  # a responder answers the opening with its share first
+                    self._send(peer, exchange_id, share)
+                    share = None
+                for env in envelopes:
+                    self._send(peer, exchange_id, engine.receive(
+                        env.exchange_id, env.flow, env.payload, env.fingerprint))
+        finally:
+            with self._lock:
+                self._running.pop(exchange_id, None)
 
-        fpr_a, fpr_b = self._ordered_fingerprints(session.role, peer_fpr)
-        sid = _sid(session, exchange_id)
-        bundle = confirm.derive_bundle(sk, sid, fpr_a, fpr_b, session.role)
-        own_tag_flow = FLOW_INITIATOR_TAG if role is Role.INITIATOR else FLOW_RESPONDER_TAG
-        peer_tag_flow = FLOW_RESPONDER_TAG if role is Role.INITIATOR else FLOW_INITIATOR_TAG
-        self._send(peer, exchange_id, own_tag_flow, bundle.tau_self)
-        tag_env = self._wait_for(peer_tag_flow, deadline, exchange_id)
-        if tag_env is None:
-            session.mark_failed()
-            return Outcome.ABORTED_BY_TIMEOUT, exchange_id, None, None
-        ok, key = bundle.verify_peer_tag(tag_env.payload)
-        if not ok:
-            session.mark_failed()
-            return Outcome.PASSWORD_MISMATCH, exchange_id, None, None
-        session.mark_confirmed()
-        return Outcome.SUCCESS, exchange_id, key, peer_fpr
-
-    def _ordered_fingerprints(self, role: Role, peer_fpr: Fingerprint):
-        """(fpr_A, fpr_B) with the initiator's fingerprint in the A slot."""
-        own = self.keystore.self_fingerprint
-        return (own, peer_fpr) if role is Role.INITIATOR else (peer_fpr, own)
-
-    def _finalize(self, peer: bytes, exchange_id: bytes | None, role: Role,
-                  outcome: Outcome, started: float, key: bytes | None,
-                  peer_fpr: Fingerprint | None) -> None:
-        record = self.keystore.peer(peer)
-        if outcome is Outcome.SUCCESS:
+        if engine.outcome is Outcome.SUCCESS:
             record.authenticated = True
-            record.chained_key = key
+            record.chained_key = engine.key
             record.failed_attempts = 0
-            record.fingerprint = peer_fpr
-        elif outcome is Outcome.PASSWORD_MISMATCH:
+            record.fingerprint = engine.peer_fpr
+        elif engine.outcome is Outcome.PASSWORD_MISMATCH:
             record.failed_attempts += 1
         self.keystore.record_exchange(ExchangeRecord(
             exchange_id=exchange_id or b"\x00" * 16,
             peer=peer,
             role=role,
-            outcome=outcome,
+            outcome=engine.outcome,
             started_at=started,
             ended_at=time.time(),
         ))
+        return AuthResult(engine.outcome, exchange_id, engine.key)
 
     # -- chaining ----------------------------------------------------------
 
@@ -658,7 +607,7 @@ class SessionManager:
         if not record.authenticated or record.chained_key is None:
             raise ManagerError("peer is not authenticated; refuse to send")
         blob = sealed.seal(record.chained_key, plaintext).to_bytes()
-        self._send(peer, fresh_exchange_id(), FLOW_DATA, blob)
+        self._send(peer, fresh_exchange_id(), [(FLOW_DATA, blob, None)])
 
     def recv_sealed(self, timeout: float = 5.0) -> list[tuple[bytes, bytes]]:
         """Collect data messages; returns (sender, plaintext) pairs.
@@ -669,10 +618,8 @@ class SessionManager:
         """
         def pick() -> list[tuple[bytes, bytes]]:
             out = []
-            keys = [k for k, env in self._inbox.items() if env.flow == FLOW_DATA]
-            self._mark_processed(keys)
-            for key in keys:
-                env = self._inbox.pop(key)
+            while self._data:
+                env = self._data.popleft()
                 record = self.keystore.peers.get(env.sender)
                 if record is None or record.chained_key is None:
                     continue

@@ -5,6 +5,7 @@ current package and that uninstalling puts every attribute back.
 """
 
 import importlib.util
+import threading
 from pathlib import Path
 
 import pakemail
@@ -46,3 +47,30 @@ def test_tracer_installs_and_restores_every_hook():
     assert {(manager.SessionManager, "authenticate"), (manager.SessionManager, "recv_sealed"),
             (relay.MailboxStore, "put"), (relay.MailboxStore, "get"), (relay.MailboxStore, "ack"),
             (relay._RelayHandler, "handle"), (confirm, "derive_bundle")} <= patched
+
+
+def test_tracer_records_the_protocol_spans(tmp_path, toy):
+    # the tracer patches module attributes: code that imported a patched
+    # function by name would run unrecorded and its figures would read 0
+    spans = _load_spans()
+    recorder = spans.Recorder()
+    spans.install(recorder, pakemail)
+    try:
+        backend = transport.LoopbackTransport()
+        ma, mb = (manager.SessionManager(manager.Keystore(tmp_path / f"{name}.ks", name),
+                                         backend, toy) for name in (b"a@x", b"b@x"))
+        results = []
+        responder = threading.Thread(
+            target=lambda: results.append(mb.authenticate(b"a@x", b"pw", timeout=5.0)))
+        responder.start()
+        results.append(ma.authenticate(b"b@x", b"pw", timeout=5.0))
+        responder.join(10.0)
+        for strategy in harness.Strategy:
+            harness.adversary_harness([b"pw0", b"pw1"], strategy, trials=2, seed=1)
+    finally:
+        recorder.uninstall()
+    assert not responder.is_alive()
+    assert [r.outcome for r in results] == [manager.Outcome.SUCCESS] * 2
+    assert {"pake.start", "pake.finish", "confirm.bundle", "confirm.verify",
+            "manager.authenticate", "harness.passive", "harness.active",
+            "harness.abort"} <= set(recorder.total)

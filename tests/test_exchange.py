@@ -1,0 +1,95 @@
+"""The exchange engine driven directly, on a network that reorders,
+duplicates, reflects or drops flows, with no transport, thread or clock."""
+
+import random
+
+import oracles
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pakemail.confirm import Fingerprint
+from pakemail.exchange import Exchange, Outcome
+from pakemail.pake import Role
+from pakemail.transport import FLOW_INITIATOR_PAKE, FLOW_RESPONDER_PAKE
+
+IDA, IDB = b"a@x", b"b@x"
+FPR_A, FPR_B = Fingerprint(bytes(20)), Fingerprint(bytes(range(20)))
+XID = bytes(range(16))
+
+
+def make_pair(toy, pw_a, pw_b, seed=0):
+    rnd = random.Random(seed)
+
+    def rng(order):
+        return rnd.randrange(order)
+
+    a = Exchange(Role.INITIATOR, IDA, IDB, pw_a, toy, FPR_A, exchange_id=XID, rng=rng)
+    b = Exchange(Role.RESPONDER, IDB, IDA, pw_b, toy, FPR_B, rng=rng)
+    return a, b
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(residue_a=st.integers(0, 10), shift=st.one_of(st.just(0), st.integers(1, 10)),
+       seed=st.integers(0, 2**32), lossy=st.booleans(), data=st.data())
+def test_engines_on_a_hostile_network(toy, residue_a, shift, seed, lossy, data):
+    # one password per scalar residue: equal residues mean equal passwords
+    residue_b = (residue_a + shift) % 11
+    pw_a, pw_b = oracles.TOY_PASSWORD_BY_PI[residue_a], oracles.TOY_PASSWORD_BY_PI[residue_b]
+    a, b = make_pair(toy, pw_a, pw_b, seed)
+    peer = {id(a): b, id(b): a}
+    # flows on the wire: (receiving engine, flow); a copy is a duplicate
+    wire = [(b, flow) for flow in a.start()] + [(a, flow) for flow in b.start()]
+    actions = ["deliver", "duplicate", "reflect"] + (["drop"] if lossy else [])
+    copies = 0
+    while wire:
+        i = data.draw(st.integers(0, len(wire) - 1))
+        action = data.draw(st.sampled_from(actions))
+        engine, flow = wire[i]
+        if action in ("duplicate", "reflect") and copies < 8:
+            copies += 1
+            wire.append((engine if action == "duplicate" else peer[id(engine)], flow))
+            continue
+        wire.pop(i)
+        if action != "drop":
+            wire += [(peer[id(engine)], reply) for reply in engine.receive(XID, *flow)]
+    a.expire()
+    b.expire()
+
+    for engine in (a, b):
+        assert engine.outcome is not None
+        assert (engine.key is not None) == (engine.outcome is Outcome.SUCCESS)
+    if a.outcome is b.outcome is Outcome.SUCCESS:
+        assert a.key == b.key and a.exchange_id == b.exchange_id == XID
+    if residue_a == residue_b and not lossy:
+        assert a.outcome is b.outcome is Outcome.SUCCESS
+    if residue_a != residue_b:
+        assert Outcome.SUCCESS not in (a.outcome, b.outcome)
+
+
+def test_a_tag_that_overtakes_the_share_waits_for_it(toy):
+    a, b = make_pair(toy, b"pw", b"pw")
+    [opening], [share] = a.start(), b.start()
+    [tag] = b.receive(XID, *opening)
+    assert a.receive(XID, *tag) == [] and a.outcome is None
+    [own_tag] = a.receive(XID, *share)
+    assert a.outcome is Outcome.SUCCESS
+    b.receive(XID, *own_tag)
+    assert b.outcome is Outcome.SUCCESS and a.key == b.key
+
+
+def test_flows_of_another_exchange_are_ignored(toy):
+    a, b = make_pair(toy, b"pw", b"pw")
+    [opening], [share] = a.start(), b.start()
+    [tag] = b.receive(XID, *opening)
+    assert a.receive(bytes(16), *share) == [] and a.receive(bytes(16), *tag) == []
+    assert a.outcome is None
+    a.expire()
+    assert a.outcome is Outcome.ABORTED_BY_TIMEOUT and a.key is None
+
+
+def test_a_share_without_any_fingerprint_is_a_protocol_error(toy):
+    a, b = make_pair(toy, b"pw", b"pw")
+    [(flow, payload, _)], [(reply, _, _)] = a.start(), b.start()
+    assert (flow, reply) == (FLOW_INITIATOR_PAKE, FLOW_RESPONDER_PAKE)
+    assert b.receive(XID, flow, payload, None) == []
+    assert b.outcome is Outcome.PROTOCOL_ERROR and b.key is None

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -64,6 +65,22 @@ def test_guess_and_abort_leaves_timeouts_not_gaps():
     # every attacked session is visible in the history as a timeout
     assert stats.honest_outcomes[Outcome.ABORTED_BY_TIMEOUT] == trials
     assert sum(stats.honest_outcomes.values()) == trials
+
+
+def test_active_one_guess_known_answer_tally():
+    stats = adversary_harness(DICTIONARY, Strategy.ACTIVE_ONE_GUESS, trials=4000, seed=11)
+    assert stats.adversary_successes == 244
+    assert stats.honest_outcomes == Counter({Outcome.SUCCESS: 441,
+                                             Outcome.PASSWORD_MISMATCH: 3559})
+
+
+def test_guess_and_abort_known_answer_tally_on_an_overlapping_dictionary():
+    # the pools overlap, so some guesses hit and the adversary then
+    # releases its tag: those sessions succeed, the rest time out
+    stats = adversary_harness(DICTIONARY, Strategy.GUESS_AND_ABORT, trials=1000, seed=5)
+    assert stats.adversary_successes == 64
+    assert stats.honest_outcomes == Counter({Outcome.SUCCESS: 106,
+                                             Outcome.ABORTED_BY_TIMEOUT: 894})
 
 
 def test_stats_rate_with_no_trials():

@@ -1,6 +1,7 @@
 import logging
 import sys
 import threading
+from collections import deque
 
 import pytest
 
@@ -21,6 +22,7 @@ from pakemail.pake import Role, password_context
 from pakemail.transport import (
     FLOW_DATA,
     FLOW_INITIATOR_PAKE,
+    FLOW_INITIATOR_TAG,
     FLOW_RESPONDER_PAKE,
     FLOW_RESPONDER_TAG,
     LoopbackTransport,
@@ -418,7 +420,7 @@ def test_dedupe_window_stays_bounded_and_drops_close_duplicates(tmp_path, toy):
                                            IDB, b"junk"))
         assert mb.recv_sealed(timeout=0) == []
     assert len(mb._processed) <= manager.DEDUPE_WINDOW
-    assert mb._inbox == {}
+    assert not mb._data and not mb._openings and not mb._running
 
     ra, rb = run_both(ma, mb, b"pw", b"pw")
     assert ra.outcome is Outcome.SUCCESS and rb.outcome is Outcome.SUCCESS
@@ -433,6 +435,28 @@ def test_dedupe_window_stays_bounded_and_drops_close_duplicates(tmp_path, toy):
     assert mb.recv_sealed(timeout=2.0) == [(IDA, b"once")]
     backend.send(sent[-1])
     assert mb.recv_sealed(timeout=0) == []
+
+
+def test_a_flood_of_unrouted_envelopes_leaves_every_container_bounded(tmp_path, toy):
+    backend = LoopbackTransport()
+    ma, mb = make_pair(tmp_path, toy, backend=backend)
+    n = 20_000
+    # tags of exchanges nobody runs, openings from distinct senders nobody
+    # answers, and data from senders without a key
+    for i in range(n):
+        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_INITIATOR_TAG + i % 2, IDA,
+                                       IDB, b"junk"))
+    for i in range(n):
+        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_INITIATOR_PAKE, b"s%d@x" % i,
+                                       IDB, b"junk", ma.keystore.self_fingerprint))
+    for i in range(n):
+        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_DATA, b"stranger%d@x" % i,
+                                       IDB, b"junk"))
+    assert mb.recv_sealed(timeout=0) == []
+    assert mb.authenticate(IDA, b"pw", timeout=0.05).outcome is Outcome.ABORTED_BY_TIMEOUT
+    sizes = {name: len(value) for name, value in vars(mb).items()
+             if isinstance(value, (dict, list, set, deque))}
+    assert sizes and max(sizes.values()) <= manager.DEDUPE_WINDOW, sizes
 
 
 def test_unknown_senders_do_not_grow_the_keystore(tmp_path, toy):
