@@ -61,7 +61,6 @@ _ID_A = b"alice@example.org"
 _ID_B = b"bob@example.org"
 _FPR_A = Fingerprint(bytes(range(20)))
 _FPR_B = Fingerprint(bytes(range(20, 40)))
-_EXCHANGE_ID = bytes(16)
 
 
 def _run(password: bytes, guess: bytes, group, rng, withhold: bool) -> tuple[Outcome, bytes]:
@@ -71,18 +70,19 @@ def _run(password: bytes, guess: bytes, group, rng, withhold: bool) -> tuple[Out
     ``withhold``, the responder checks the honest tag before it releases
     its own and, on a mismatch, never does: the honest engine expires.
     """
+    xid = bytes(16)
     honest = Exchange(Role.INITIATOR, _ID_A, _ID_B, password, group, _FPR_A,
-                      exchange_id=_EXCHANGE_ID, rng=rng)
+                      exchange_id=xid, rng=rng)
     other = Exchange(Role.RESPONDER, _ID_B, _ID_A, guess, group, _FPR_B, rng=rng)
     [opening], [share] = honest.start(), other.start()
-    [tag] = other.receive(_EXCHANGE_ID, *opening)
-    [honest_tag] = honest.receive(_EXCHANGE_ID, *share)
+    [tag] = other.receive(xid, *opening)
+    [honest_tag] = honest.receive(xid, *share)
     if withhold:  # the other strategies never look at the honest tag
-        other.receive(_EXCHANGE_ID, *honest_tag)
+        other.receive(xid, *honest_tag)
     if withhold and other.outcome is not Outcome.SUCCESS:
         honest.expire()
     else:
-        honest.receive(_EXCHANGE_ID, *tag)
+        honest.receive(xid, *tag)
     return honest.outcome, opening[1]
 
 
