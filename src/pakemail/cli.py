@@ -12,6 +12,8 @@ import argparse
 import getpass
 import os
 import sys
+import typing
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,19 +48,41 @@ EXIT_TRANSPORT = 5
 EXIT_NO_CHAIN = 6
 EXIT_NO_ATTACK_SURFACE = 7
 
-_OUTCOME_EXITS = {
-    Outcome.SUCCESS: EXIT_OK,
-    Outcome.PASSWORD_MISMATCH: EXIT_MISMATCH,
-    Outcome.ABORTED_BY_TIMEOUT: EXIT_TIMEOUT,
-    Outcome.PROTOCOL_ERROR: EXIT_ERROR,
+# outcome -> (verdict line, exit code)
+_OUTCOMES = {
+    Outcome.SUCCESS: ("SUCCESS", EXIT_OK),
+    Outcome.PASSWORD_MISMATCH: ("FAILURE: passwords did not match", EXIT_MISMATCH),
+    Outcome.ABORTED_BY_TIMEOUT: ("FAILURE: peer did not respond in time", EXIT_TIMEOUT),
+    Outcome.PROTOCOL_ERROR: ("FAILURE: protocol error", EXIT_ERROR),
 }
 
-_VERDICTS = {
-    Outcome.SUCCESS: "SUCCESS",
-    Outcome.PASSWORD_MISMATCH: "FAILURE: passwords did not match",
-    Outcome.ABORTED_BY_TIMEOUT: "FAILURE: peer did not respond in time",
-    Outcome.PROTOCOL_ERROR: "FAILURE: protocol error",
-}
+# How every subcommand reports a failure: the first row whose exception type
+# matches gives the report, whether it goes to stderr, and the exit code.
+# Subclasses come before their bases. What the manager (keystore included),
+# a transport or the analysis refuses is a verdict on stdout; bad input or an
+# unreadable file is an error on stderr.
+_FAILURES = (
+    (LockedOutError, "FAILURE: {} (`pakemail unlock PEER`)", False, EXIT_LOCKOUT),
+    (NoChainError, "FAILURE: {}; run `pakemail auth` to establish a chain", False, EXIT_NO_CHAIN),
+    (ManagerError, "refused: {}", False, EXIT_ERROR),
+    (TransportError, "FAILURE: transport: {}", False, EXIT_TRANSPORT),
+    (analysis.NoFlippableBitsError, "no attack surface: {}", False, EXIT_NO_ATTACK_SURFACE),
+    (analysis.AnalysisError, "invalid parameters: {}", False, EXIT_ERROR),
+    ((ValueError, OSError), "error: {}", True, EXIT_ERROR),
+)
+
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def _to_bool(value) -> bool:
+    """Strict: a config line `insecure_toy_group = false` must not read as true."""
+    if isinstance(value, bool):
+        return value
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {value!r}") from None
 
 
 @dataclass
@@ -71,8 +95,10 @@ class ClientConfig:
     timeout: float = 30.0
     insecure_toy_group: bool = False
 
-    _FIELDS = ("identity", "keystore", "transport", "group",
-               "max_failed_attempts", "timeout")
+    # keys read from PAKEMAIL_<KEY>; insecure_toy_group is left out on purpose,
+    # so the toy group takes a config line or the flag
+    _ENV_KEYS = ("identity", "keystore", "transport", "group",
+                 "max_failed_attempts", "timeout")
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "ClientConfig":
@@ -88,7 +114,7 @@ class ClientConfig:
                 if not sep:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 cfg._set(key.strip(), value.strip())
-        for name in cls._FIELDS:
+        for name in cls._ENV_KEYS:
             env = os.environ.get(f"PAKEMAIL_{name.upper()}")
             if env is not None:
                 cfg._set(name, env)
@@ -98,16 +124,16 @@ class ClientConfig:
         return cfg
 
     def _set(self, key: str, value) -> None:
+        """Set ``key`` from a string (file, environment) or a parsed flag,
+        converted by the field's declared type."""
         key = key.replace("-", "_")
-        if key not in self._FIELDS and key != "insecure_toy_group":
+        kind = typing.get_type_hints(ClientConfig).get(key)
+        if kind is None:
             raise ValueError(f"unknown config key {key!r}")
-        if key == "max_failed_attempts":
-            value = int(value)
-        elif key == "timeout":
-            value = float(value)
-        elif key == "insecure_toy_group":
-            value = bool(value)
-        setattr(self, key, value)
+        try:
+            setattr(self, key, _to_bool(value) if kind is bool else kind(value))
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {exc}") from None
 
 
 def _build_backend(config: ClientConfig):
@@ -126,7 +152,9 @@ def _build_backend(config: ClientConfig):
     raise ValueError(f"unknown transport {spec!r}")
 
 
-def _build_manager(config: ClientConfig) -> SessionManager:
+@contextmanager
+def _session(config: ClientConfig) -> typing.Iterator[SessionManager]:
+    """The configured manager; its backend is closed however the command ends."""
     if not config.identity:
         raise ValueError("no identity configured (set identity in config or PAKEMAIL_IDENTITY)")
     if config.group == "toy" and not config.insecure_toy_group:
@@ -134,7 +162,15 @@ def _build_manager(config: ClientConfig) -> SessionManager:
     keystore = Keystore(config.keystore, config.identity.encode())
     policy = AttemptPolicy(max_failed_attempts=config.max_failed_attempts,
                            timeout=config.timeout)
-    return SessionManager(keystore, _build_backend(config), get_group(config.group), policy)
+    manager = SessionManager(keystore, _build_backend(config), get_group(config.group), policy)
+    try:
+        yield manager
+    finally:
+        manager.backend.close()
+
+
+def _open_keystore(config: ClientConfig) -> Keystore:
+    return Keystore(config.keystore, config.identity.encode() if config.identity else None)
 
 
 def _read_password() -> bytes:
@@ -148,63 +184,38 @@ def _read_password() -> bytes:
 # ---------------------------------------------------------------------------
 
 def cmd_auth(args, config: ClientConfig) -> int:
-    manager = _build_manager(config)
     role = Role(args.role) if args.role else None
-    password = _read_password()
-    try:
+    with _session(config) as manager:
+        password = _read_password()
         result = manager.authenticate(args.peer.encode(), password, role)
-    except LockedOutError as exc:
-        print(f"FAILURE: {exc}")
-        return EXIT_LOCKOUT
-    except TransportError as exc:
-        print(f"FAILURE: transport: {exc}")
-        return EXIT_TRANSPORT
-    finally:
-        manager.backend.close()
-    print(_VERDICTS[result.outcome])
+    verdict, code = _OUTCOMES[result.outcome]
+    print(verdict)
     if result.outcome is Outcome.SUCCESS:
         record = manager.keystore.peer(args.peer.encode())
         words = analysis.trustwords(manager.keystore.self_fingerprint,
                                     record.fingerprint, analysis.Wordlist.synthetic())
         print(f"peer fingerprint: {record.fingerprint.hex}")
         print("trustwords: " + " ".join(words))
-    return _OUTCOME_EXITS[result.outcome]
+    return code
 
 
 def cmd_renew(args, config: ClientConfig) -> int:
-    manager = _build_manager(config)
     role = Role(args.role) if args.role else None
-    try:
+    with _session(config) as manager:
         result = manager.reauthenticate_chained(args.peer.encode(), role)
-    except NoChainError as exc:
-        print(f"FAILURE: {exc}; run `pakemail auth` to establish a chain")
-        return EXIT_NO_CHAIN
-    except TransportError as exc:
-        print(f"FAILURE: transport: {exc}")
-        return EXIT_TRANSPORT
-    finally:
-        manager.backend.close()
-    print(_VERDICTS[result.outcome])
+    verdict, code = _OUTCOMES[result.outcome]
+    print(verdict)
     if result.fallback_to_manual:
         print("chained keys diverged; fall back to manual `pakemail auth`")
-    return _OUTCOME_EXITS[result.outcome]
+    return code
 
 
 def cmd_attack_cost(args, config: ClientConfig) -> int:
-    rows = []
     if args.published_cases:
-        for params, log2_e in analysis.published_cases():
-            rows.append((params, log2_e))
+        rows = analysis.published_cases()
     else:
-        try:
-            params = analysis.AttackParams(b=args.b, r=args.r, u=args.u, p=args.p)
-            rows.append((params, analysis.effort(params)))
-        except analysis.NoFlippableBitsError as exc:
-            print(f"no attack surface: {exc}")
-            return EXIT_NO_ATTACK_SURFACE
-        except analysis.AnalysisError as exc:
-            print(f"invalid parameters: {exc}")
-            return EXIT_ERROR
+        params = analysis.AttackParams(b=args.b, r=args.r, u=args.u, p=args.p)
+        rows = [(params, analysis.effort(params))]
     print(f"{'b':>4} {'r':>4} {'u':>4} {'p':>6} {'1-q':>12} {'log2(e)':>9}")
     for params, log2_e in rows:
         one_minus_q = float(1 - analysis.q_no_preimage(params))
@@ -237,37 +248,22 @@ def cmd_relay_serve(args, config: ClientConfig) -> int:
 
 
 def cmd_send(args, config: ClientConfig) -> int:
-    manager = _build_manager(config)
-    try:
+    with _session(config) as manager:
         manager.send_sealed(args.peer.encode(), args.message.encode())
-    except ManagerError as exc:
-        print(f"refused: {exc}")
-        return EXIT_ERROR
-    except TransportError as exc:
-        print(f"FAILURE: transport: {exc}")
-        return EXIT_TRANSPORT
-    finally:
-        manager.backend.close()
     print("sent")
     return EXIT_OK
 
 
 def cmd_recv(args, config: ClientConfig) -> int:
-    manager = _build_manager(config)
-    try:
+    with _session(config) as manager:
         messages = manager.recv_sealed(timeout=args.wait)
-    except TransportError as exc:
-        print(f"FAILURE: transport: {exc}")
-        return EXIT_TRANSPORT
-    finally:
-        manager.backend.close()
     for sender, plaintext in messages:
         print(f"{sender.decode(errors='replace')}: {plaintext.decode(errors='replace')}")
     return EXIT_OK
 
 
 def cmd_status(args, config: ClientConfig) -> int:
-    keystore = Keystore(config.keystore, config.identity.encode() if config.identity else None)
+    keystore = _open_keystore(config)
     print(f"identity: {keystore.self_identity.decode(errors='replace')}")
     print(f"own fingerprint: {keystore.self_fingerprint.hex}")
     print("peers:")
@@ -283,6 +279,19 @@ def cmd_status(args, config: ClientConfig) -> int:
     return EXIT_OK
 
 
+def cmd_unlock(args, config: ClientConfig) -> int:
+    if not Path(config.keystore).is_file():  # opening would create an empty one
+        raise ValueError(f"no keystore at {config.keystore}")
+    keystore = _open_keystore(config)
+    peer = args.peer.encode()
+    if peer not in keystore.peers:  # Keystore.peer would add a record for it
+        raise ManagerError(f"no record of {args.peer!r} in {config.keystore}; nothing to unlock")
+    failed = keystore.peers[peer].failed_attempts
+    keystore.reset_attempts(peer)
+    print(f"unlocked {args.peer}: {failed} failed attempts cleared")
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--transport",
                         help="loopback | maildir:PATH | imap-smtp | relay:HOST:PORT")
     parser.add_argument("--group", choices=["production", "toy"])
-    parser.add_argument("--insecure-toy-group", action="store_true",
+    parser.add_argument("--insecure-toy-group", action="store_true", default=None,
                         help="allow the brute-forceable test group")
     parser.add_argument("--timeout", type=float, help="exchange timeout in seconds")
 
@@ -342,6 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("status", help="dump peers and exchange history")
     p.set_defaults(func=cmd_status)
 
+    p = sub.add_parser("unlock", help="operator override: clear a peer's failed attempts")
+    p.add_argument("peer")
+    p.set_defaults(func=cmd_unlock)
+
     return parser
 
 
@@ -353,15 +366,16 @@ def main(argv=None) -> int:
         "transport": args.transport,
         "group": args.group,
         "timeout": args.timeout,
+        "insecure_toy_group": args.insecure_toy_group,
     }
     try:
-        config = ClientConfig.load(args.config, overrides)
-        if args.insecure_toy_group:
-            config.insecure_toy_group = True
-        return args.func(args, config)
-    except (ValueError, ManagerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return args.func(args, ClientConfig.load(args.config, overrides))
+    except Exception as exc:
+        for kind, report, to_stderr, code in _FAILURES:
+            if isinstance(exc, kind):
+                print(report.format(exc), file=sys.stderr if to_stderr else sys.stdout)
+                return code
+        raise
 
 
 if __name__ == "__main__":

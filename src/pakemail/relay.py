@@ -160,7 +160,9 @@ class MailboxStore:
         """
         recipient = bytes(recipient)
         with self._arrived:
-            self._arrived.wait_for(lambda: self._stopping or self._boxes.get(recipient), timeout)
+            if timeout > 0:  # wait_for(pred, 0) would still enter a wait on an empty box
+                self._arrived.wait_for(lambda: self._stopping or self._boxes.get(recipient),
+                                       timeout)
             pairs = []
             size = 1  # the LIST frame's opcode
             for blob_id, blob in self._boxes.get(recipient, {}).items():

@@ -154,7 +154,9 @@ class LoopbackTransport(TransportBackend):
     def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
         recipient = bytes(recipient)
         with self._cond:
-            box = self._cond.wait_for(lambda: self._boxes.get(recipient), timeout)
+            box = self._boxes.get(recipient)
+            if not box and timeout > 0:  # wait_for(pred, 0) would still enter a wait
+                box = self._cond.wait_for(lambda: self._boxes.get(recipient), timeout)
             blobs = list(box) if box else []
             if box:
                 box.clear()

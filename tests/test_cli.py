@@ -5,16 +5,24 @@ import pytest
 from pakemail import cli
 from pakemail.cli import (
     EXIT_ERROR,
+    EXIT_LOCKOUT,
     EXIT_MISMATCH,
     EXIT_NO_ATTACK_SURFACE,
     EXIT_NO_CHAIN,
     EXIT_OK,
     EXIT_TIMEOUT,
+    EXIT_TRANSPORT,
     ClientConfig,
     main,
 )
+from pakemail.manager import Keystore, LockedOutError, ManagerError, NoChainError, SessionManager
 from pakemail.relay import RelayServer
-from pakemail.transport import ImapSmtpTransport, MailAccountConfig
+from pakemail.transport import (
+    ImapSmtpTransport,
+    LoopbackTransport,
+    MailAccountConfig,
+    TransportError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -206,3 +214,120 @@ def test_password_not_in_argv_surface():
     for action in parser._actions:
         for opt in action.option_strings:
             assert "password" not in opt and "secret" not in opt
+
+
+# ---------------------------------------------------------------------------
+# Typed settings, the failure table and the operator override
+# ---------------------------------------------------------------------------
+
+def _toy_config(tmp_path, value):
+    path = tmp_path / "cfg"
+    path.write_text(f"group = toy\ninsecure_toy_group = {value}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("value", ["false", "0", "no", "False", "off"])
+def test_config_false_keeps_the_toy_group_refused(tmp_path, capsys, value):
+    rc = main(["--config", _toy_config(tmp_path, value), *_argv(tmp_path, "send", "b@x", "hi")])
+    assert rc == EXIT_ERROR
+    assert "brute-forceable" in capsys.readouterr().err
+
+
+def test_config_rejects_a_bad_boolean(tmp_path, capsys):
+    with pytest.raises(ValueError, match="insecure_toy_group"):
+        ClientConfig.load(_toy_config(tmp_path, "maybe"), {})
+    rc = main(["--config", _toy_config(tmp_path, "maybe"), *_argv(tmp_path, "send", "b@x", "hi")])
+    assert rc == EXIT_ERROR
+    assert "bad value for insecure_toy_group" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+def test_toy_group_allowed_by_file_true_or_flag(tmp_path, capsys, source):
+    if source == "file":
+        argv = ["--config", _toy_config(tmp_path, "true")]
+    else:
+        argv = ["--group", "toy", "--insecure-toy-group"]
+    # past the group check: the send itself is refused, the peer is unknown
+    assert main([*argv, *_argv(tmp_path, "send", "b@x", "hi")]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "refuse" in captured.out and captured.err == ""
+
+
+def test_toy_group_opt_in_is_not_read_from_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PAKEMAIL_INSECURE_TOY_GROUP", "true")
+    assert main(_argv(tmp_path, "--group", "toy", "send", "b@x", "hi")) == EXIT_ERROR
+    assert "brute-forceable" in capsys.readouterr().err
+
+
+def _lock_out(tmp_path):
+    # a@x has a chain with b@x and has reached the default three failed attempts
+    keystore = Keystore(tmp_path / "a@x.ks", b"a@x")
+    record = keystore.peer(b"b@x")
+    record.authenticated, record.chained_key = True, bytes(32)
+    record.failed_attempts = 3
+    keystore.save()
+
+
+def test_renew_against_a_locked_out_peer(tmp_path, capsys):
+    _lock_out(tmp_path)
+    assert main(_argv(tmp_path, "renew", "b@x")) == EXIT_LOCKOUT
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAILURE:") and captured.err == ""
+
+
+def test_unlock_clears_a_lockout(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_read_password", lambda: b"pw")
+    _lock_out(tmp_path)
+    assert main(_argv(tmp_path, "auth", "b@x")) == EXIT_LOCKOUT
+    assert "pakemail unlock" in capsys.readouterr().out
+    assert main(_argv(tmp_path, "unlock", "b@x")) == EXIT_OK
+    assert "3 failed attempts cleared" in capsys.readouterr().out
+    assert main(_argv(tmp_path, "status")) == EXIT_OK
+    assert "b@x authenticated=True failed_attempts=0" in capsys.readouterr().out
+    # nobody answers on a fresh loopback, but the exchange now runs
+    assert main(_argv(tmp_path, "--timeout", "0.1", "auth", "b@x")) == EXIT_TIMEOUT
+
+
+def test_unlock_refuses_an_unknown_peer(tmp_path, capsys):
+    _lock_out(tmp_path)
+    assert main(_argv(tmp_path, "unlock", "c@x")) == EXIT_ERROR
+    assert "nothing to unlock" in capsys.readouterr().out
+    assert set(Keystore(tmp_path / "a@x.ks").peers) == {b"b@x"}
+    # a mistyped keystore path is refused, not created
+    assert main(_argv(tmp_path, "unlock", "b@x", identity="typo@x")) == EXIT_ERROR
+    assert "no keystore" in capsys.readouterr().err
+    assert not (tmp_path / "typo@x.ks").exists()
+
+
+_COMMANDS = {
+    "auth": ("authenticate", ["auth", "b@x"]),
+    "renew": ("reauthenticate_chained", ["renew", "b@x"]),
+    "send": ("send_sealed", ["send", "b@x", "hi"]),
+    "recv": ("recv_sealed", ["recv"]),
+}
+_FAILURES = [
+    (LockedOutError("locked"), EXIT_LOCKOUT, "FAILURE: locked"),
+    (NoChainError("no chain"), EXIT_NO_CHAIN, "FAILURE: no chain"),
+    (TransportError("down"), EXIT_TRANSPORT, "FAILURE: transport: down"),
+    (ManagerError("nope"), EXIT_ERROR, "refused: nope"),
+]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("exc, code, report", _FAILURES,
+                         ids=[type(f[0]).__name__ for f in _FAILURES])
+def test_every_command_reports_a_failure_alike(tmp_path, capsys, monkeypatch,
+                                                command, exc, code, report):
+    method, argv = _COMMANDS[command]
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    closed = []
+    monkeypatch.setattr(cli, "_read_password", lambda: b"pw")
+    monkeypatch.setattr(SessionManager, method, fail)
+    monkeypatch.setattr(LoopbackTransport, "close", lambda self: closed.append(self))
+    assert main(_argv(tmp_path, *argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out.startswith(report) and captured.err == ""
+    assert len(closed) == 1
