@@ -75,11 +75,9 @@ class ConfirmationBundle:
         self._key = material[:32]
         self._k_mac_a = material[32:64]
         self._k_mac_b = material[64:96]
-        self.sid = sid
-        self.role = role
         self._verdict: bool | None = None
         self._message = _tag_message(fpr_a, fpr_b, sid)  # both tags MAC the same message
-        own_key = self._k_mac_a if role is Role.INITIATOR else self._k_mac_b
+        own_key, self._peer_key = role.order(self._k_mac_a, self._k_mac_b)
         self.tau_self = hmac.new(own_key, self._message, hashlib.sha256).digest()
 
     def verify_peer_tag(self, peer_tag: bytes) -> tuple[bool, bytes | None]:
@@ -91,8 +89,7 @@ class ConfirmationBundle:
         """
         if self._verdict is not None:
             raise StateError("peer tag already verified for this bundle")
-        peer_key = self._k_mac_b if self.role is Role.INITIATOR else self._k_mac_a
-        expected = hmac.new(peer_key, self._message, hashlib.sha256).digest()
+        expected = hmac.new(self._peer_key, self._message, hashlib.sha256).digest()
         ok = hmac.compare_digest(expected, peer_tag)
         self._verdict = ok
         if ok:

@@ -60,21 +60,16 @@ class Exchange:
         self.own_fpr = own_fpr
         self.peer_fpr = peer_fpr
         if binding == "pi":
-            password = confirm.embed_fingerprints_in_secret(password, *self._ordered(peer_fpr))
+            password = confirm.embed_fingerprints_in_secret(
+                password, *role.order(own_fpr, peer_fpr))
         self.outcome: Outcome | None = None
         self.key: bytes | None = None
-        # the share and tag this side sends, then the share and tag it takes
-        initiator = (FLOW_INITIATOR_PAKE, FLOW_INITIATOR_TAG)
-        responder = (FLOW_RESPONDER_PAKE, FLOW_RESPONDER_TAG)
-        self._flows = initiator + responder if role is Role.INITIATOR else responder + initiator
+        # the (share, tag) flows this side sends, then the pair it takes
+        self._flows = role.order((FLOW_INITIATOR_PAKE, FLOW_INITIATOR_TAG),
+                                 (FLOW_RESPONDER_PAKE, FLOW_RESPONDER_TAG))
         self._session = pake.PakeSession(role, self_id, peer_id, password, group, rng=rng)
         self._bundle: confirm.ConfirmationBundle | None = None
         self._early_tag: bytes | None = None  # a peer tag that overtook the peer's share
-
-    def _ordered(self, peer_fpr: Fingerprint) -> tuple[Fingerprint, Fingerprint]:
-        """(fpr_A, fpr_B) with the initiator's fingerprint in the A slot."""
-        own = self.own_fpr
-        return (own, peer_fpr) if self.role is Role.INITIATOR else (peer_fpr, own)
 
     def start(self) -> list[tuple]:
         """This side's share, with its fingerprint.
@@ -83,7 +78,7 @@ class Exchange:
         sends it once it holds an opening, before it hands the opening to
         :meth:`receive`, so the peer can work out the key at the same time.
         """
-        return [(self._flows[0], self._session.start(), self.own_fpr)]
+        return [(self._flows[0][0], self._session.start(), self.own_fpr)]
 
     def receive(self, exchange_id: bytes, flow: int, payload: bytes,
                 fingerprint: Fingerprint | None = None) -> list[tuple]:
@@ -95,7 +90,7 @@ class Exchange:
         if self.outcome is not None or exchange_id != (self.exchange_id or exchange_id):
             return []
         self.exchange_id = exchange_id
-        _, tag_flow, peer_share, peer_tag = self._flows
+        (_, tag_flow), (peer_share, peer_tag) = self._flows
         if flow == peer_tag:
             if self._bundle is None:
                 self._early_tag = payload
@@ -106,32 +101,26 @@ class Exchange:
             return []
         peer_fpr = fingerprint or self.peer_fpr
         if peer_fpr is None:
-            self._end(Outcome.PROTOCOL_ERROR)
+            self.outcome = Outcome.PROTOCOL_ERROR
             return []
         try:
             sk = self._session.finish(payload)
         except DecodeError:
-            self._end(Outcome.PROTOCOL_ERROR)
+            self.outcome = Outcome.PROTOCOL_ERROR
             return []
         self.peer_fpr = peer_fpr
         sid = self._session.transcript() + wire.pack([exchange_id])
-        self._bundle = confirm.derive_bundle(sk, sid, *self._ordered(peer_fpr), self.role)
+        fprs = self.role.order(self.own_fpr, peer_fpr)
+        self._bundle = confirm.derive_bundle(sk, sid, *fprs, self.role)
         if self._early_tag is not None:
             self._verify(self._early_tag)
         return [(tag_flow, self._bundle.tau_self, None)]
 
     def _verify(self, tag: bytes) -> None:
         ok, self.key = self._bundle.verify_peer_tag(tag)
-        if ok:
-            self._session.mark_confirmed()
-        self._end(Outcome.SUCCESS if ok else Outcome.PASSWORD_MISMATCH)
-
-    def _end(self, outcome: Outcome) -> None:
-        self.outcome = outcome
-        if outcome is not Outcome.SUCCESS:
-            self._session.mark_failed()
+        self.outcome = Outcome.SUCCESS if ok else Outcome.PASSWORD_MISMATCH
 
     def expire(self) -> None:
         """Stop waiting: an exchange that has not ended ends in a timeout."""
         if self.outcome is None:
-            self._end(Outcome.ABORTED_BY_TIMEOUT)
+            self.outcome = Outcome.ABORTED_BY_TIMEOUT

@@ -2,9 +2,12 @@
 
 Three strategies:
 
-* ``passive``  — transcript observer who may grind the logged exchange
-  offline against a candidate dictionary. Every candidate stays consistent
-  with some random tape, so the observer can never single out the password.
+* ``passive``  — transcript observer who grinds the logged shares offline
+  against a candidate dictionary. In a cyclic group every candidate stays
+  consistent with some ephemeral exponent, so this filter keeps every
+  candidate by construction: it shows that the shares leak nothing, not
+  that the tags do. An observer who also checks the confirmation tags
+  offline can single out the password in the toy group.
 * ``active-one-guess`` — plays responder against an honest initiator with
   one dictionary guess per session; succeeds only when the guess matches.
 * ``guess-and-abort`` — same single guess, but the adversary checks the

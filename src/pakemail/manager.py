@@ -591,8 +591,8 @@ class SessionManager:
         diverged and manual authentication is required.
         """
         peer = bytes(peer)
-        record = self.keystore.peer(peer)
-        if record.chained_key is None:
+        record = self.keystore.peers.get(peer)  # a refused renewal adds no record
+        if record is None or record.chained_key is None:
             raise NoChainError(f"no stored chained key for {peer!r}")
         password = record.chained_key.hex().encode()
         result = self.authenticate(peer, password, role, timeout=timeout)
@@ -603,8 +603,8 @@ class SessionManager:
     # -- data messages -----------------------------------------------------
 
     def send_sealed(self, peer: bytes, plaintext: bytes) -> None:
-        record = self.keystore.peer(bytes(peer))
-        if not record.authenticated or record.chained_key is None:
+        record = self.keystore.peers.get(bytes(peer))  # a refused send adds no record
+        if record is None or not record.authenticated or record.chained_key is None:
             raise ManagerError("peer is not authenticated; refuse to send")
         blob = sealed.seal(record.chained_key, plaintext).to_bytes()
         self._send(peer, fresh_exchange_id(), [(FLOW_DATA, blob, None)])

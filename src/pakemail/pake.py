@@ -1,9 +1,10 @@
-"""SPAKE2 key-exchange state machine.
+"""SPAKE2 key exchange, one side at a time.
 
 One :class:`PakeSession` per party per exchange. The initiator blinds its
 Diffie-Hellman term with the public constant M, the responder with N; both
 end up with the same pre-confirmation key ``sk`` iff they hashed the same
-password. Explicit key confirmation lives in :mod:`pakemail.confirm`.
+password. Explicit key confirmation lives in :mod:`pakemail.confirm`, and
+:class:`pakemail.exchange.Exchange` drives both steps and keeps the outcome.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import enum
 import hashlib
 
 from . import wire
-from .groups import DecodeError, Group, GroupElement
+from .groups import DecodeError, Group
 
 PROTOCOL_VERSION = b"pakemail-v1"
 
@@ -22,24 +23,20 @@ class PakeError(Exception):
 
 
 class StateError(PakeError):
-    """Operation called in the wrong session phase."""
+    """Operation called out of order, or a second time where once is the rule."""
 
 
 class Role(enum.Enum):
     INITIATOR = "initiator"
     RESPONDER = "responder"
 
-    @property
-    def peer(self) -> "Role":
-        return Role.RESPONDER if self is Role.INITIATOR else Role.INITIATOR
+    def order(self, mine, theirs) -> tuple:
+        """(mine, theirs) put in (initiator's, responder's) order.
 
-
-class Phase(enum.Enum):
-    CREATED = "created"
-    STARTED = "started"
-    KEYED = "keyed"
-    CONFIRMED = "confirmed"
-    FAILED = "failed"
+        The swap is its own inverse, so the same call also turns an
+        (initiator's, responder's) pair into (mine, theirs).
+        """
+        return (mine, theirs) if self is Role.INITIATOR else (theirs, mine)
 
 
 def password_context(group: Group) -> bytes:
@@ -49,9 +46,9 @@ def password_context(group: Group) -> bytes:
 class PakeSession:
     """One party's half of a key exchange.
 
-    Single-owner state machine: created -> started -> keyed, then the
-    confirmation layer moves it to confirmed or failed. The ephemeral
-    exponent and the password scalar never leave the object.
+    Its state is its two shares: ``start`` sets this side's, ``finish``
+    takes the peer's, which ends the session even when it is refused. The
+    ephemeral exponent and the password scalar never leave the object.
     """
 
     def __init__(self, role: Role, self_id: bytes, peer_id: bytes,
@@ -64,76 +61,49 @@ class PakeSession:
         self.self_id = bytes(self_id)
         self.peer_id = bytes(peer_id)
         self.group = group
-        self.phase = Phase.CREATED
-        self.sk: bytes | None = None
         self._pi = group.scalar_from_password(bytes(password), password_context(group))
         self._x = group.random_scalar(rng)
-        # encodings of X* and Y*: the identity element is None on secp256k1
-        self._outbound_star: bytes | None = None
-        self._inbound_star: bytes | None = None
+        self._share: bytes | None = None  # encoding of our X* or Y*, once started
+        # (id_A, id_B, X*, Y*) packed once the peer's share is taken; empty
+        # if it was refused
+        self._transcript: bytes | None = None
 
     def __repr__(self) -> str:
         # deliberately omits x, pi and sk
         return (f"PakeSession(role={self.role.value}, self_id={self.self_id!r}, "
-                f"peer_id={self.peer_id!r}, phase={self.phase.value})")
-
-    @property
-    def _blind(self) -> GroupElement:
-        return self.group.M if self.role is Role.INITIATOR else self.group.N
-
-    @property
-    def _peer_blind(self) -> GroupElement:
-        return self.group.N if self.role is Role.INITIATOR else self.group.M
+                f"peer_id={self.peer_id!r})")
 
     def start(self) -> bytes:
         """Produce the outbound blinded term X* (initiator) or Y* (responder)."""
-        if self.phase is not Phase.CREATED:
-            raise StateError(f"start() in phase {self.phase.value}")
+        if self._share is not None:
+            raise StateError("start() has already run")
         g = self.group
-        star = g.encode(g.mul(g.exp(g.generator, self._x), g.exp(self._blind, self._pi)))
-        self._outbound_star = star
-        self.phase = Phase.STARTED
-        return star
+        blind = self.role.order(g.M, g.N)[0]
+        self._share = g.encode(g.mul(g.exp(g.generator, self._x), g.exp(blind, self._pi)))
+        return self._share
 
     def finish(self, inbound_message: bytes) -> bytes:
         """Consume the peer's blinded term and derive the session key sk."""
-        if self.phase is not Phase.STARTED:
-            raise StateError(f"finish() in phase {self.phase.value}")
+        if self._share is None or self._transcript is not None:
+            raise StateError("finish() runs once, after start()")
+        self._transcript = b""
         g = self.group
-        try:
-            inbound = g.decode(inbound_message)
-            # RFC 9382: reject the identity as a share. The toy group keeps
-            # it, since an honest order-11 run draws it 1 time in 11.
-            if inbound == g.identity and g.security_bits >= 128:
-                raise DecodeError("the identity element is not a valid share")
-        except DecodeError:
-            self.phase = Phase.FAILED
-            raise
-        self._inbound_star = g.encode(inbound)
-        K = g.exp(g.div(inbound, g.exp(self._peer_blind, self._pi)), self._x)
-        h = hashlib.sha256(self.transcript())
+        inbound = g.decode(inbound_message)
+        # RFC 9382: reject the identity as a share. The toy group keeps
+        # it, since an honest order-11 run draws it 1 time in 11.
+        if inbound == g.identity and g.security_bits >= 128:
+            raise DecodeError("the identity element is not a valid share")
+        # decode takes only canonical encodings: the bytes are the share's encoding
+        shares = self.role.order(self._share, bytes(inbound_message))
+        self._transcript = wire.pack([*self.role.order(self.self_id, self.peer_id), *shares])
+        peer_blind = self.role.order(g.M, g.N)[1]
+        K = g.exp(g.div(inbound, g.exp(peer_blind, self._pi)), self._x)
+        h = hashlib.sha256(self._transcript)
         h.update(wire.pack([g.scalar_bytes(self._pi), g.encode(K)]))
-        self.sk = h.digest()
-        self.phase = Phase.KEYED
-        return self.sk
+        return h.digest()
 
     def transcript(self) -> bytes:
         """Canonical (id_A, id_B, X*, Y*) bytes, initiator values in the A slots."""
-        if self._outbound_star is None or self._inbound_star is None:
+        if not self._transcript:
             raise StateError("transcript available only after both terms are known")
-        if self.role is Role.INITIATOR:
-            id_a, id_b = self.self_id, self.peer_id
-            x_star, y_star = self._outbound_star, self._inbound_star
-        else:
-            id_a, id_b = self.peer_id, self.self_id
-            x_star, y_star = self._inbound_star, self._outbound_star
-        return wire.pack([id_a, id_b, x_star, y_star])
-
-    def mark_confirmed(self) -> None:
-        if self.phase is not Phase.KEYED:
-            raise StateError(f"confirm in phase {self.phase.value}")
-        self.phase = Phase.CONFIRMED
-
-    def mark_failed(self) -> None:
-        self.phase = Phase.FAILED
-        self.sk = None
+        return self._transcript

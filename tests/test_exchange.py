@@ -1,9 +1,11 @@
 """The exchange engine driven directly, on a network that reorders,
 duplicates, reflects or drops flows, with no transport, thread or clock."""
 
+import itertools
 import random
 
 import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,14 +19,20 @@ FPR_A, FPR_B = Fingerprint(bytes(20)), Fingerprint(bytes(range(20)))
 XID = bytes(range(16))
 
 
-def make_pair(toy, pw_a, pw_b, seed=0):
+def forced(value):
+    return lambda order: value
+
+
+def make_pair(toy, pw_a, pw_b, seed=0, draws=None):
+    """An engine pair whose exponents come from ``seed``, or are the (x, y) in ``draws``."""
     rnd = random.Random(seed)
 
     def rng(order):
         return rnd.randrange(order)
 
-    a = Exchange(Role.INITIATOR, IDA, IDB, pw_a, toy, FPR_A, exchange_id=XID, rng=rng)
-    b = Exchange(Role.RESPONDER, IDB, IDA, pw_b, toy, FPR_B, rng=rng)
+    rng_a, rng_b = map(forced, draws) if draws else (rng, rng)
+    a = Exchange(Role.INITIATOR, IDA, IDB, pw_a, toy, FPR_A, exchange_id=XID, rng=rng_a)
+    b = Exchange(Role.RESPONDER, IDB, IDA, pw_b, toy, FPR_B, rng=rng_b)
     return a, b
 
 
@@ -66,15 +74,29 @@ def test_engines_on_a_hostile_network(toy, residue_a, shift, seed, lossy, data):
         assert Outcome.SUCCESS not in (a.outcome, b.outcome)
 
 
-def test_a_tag_that_overtakes_the_share_waits_for_it(toy):
-    a, b = make_pair(toy, b"pw", b"pw")
-    [opening], [share] = a.start(), b.start()
-    [tag] = b.receive(XID, *opening)
-    assert a.receive(XID, *tag) == [] and a.outcome is None
-    [own_tag] = a.receive(XID, *share)
-    assert a.outcome is Outcome.SUCCESS
-    b.receive(XID, *own_tag)
-    assert b.outcome is Outcome.SUCCESS and a.key == b.key
+@pytest.mark.parametrize("x", range(11))
+def test_a_tag_that_overtakes_the_share_waits_for_it(toy, x):
+    # every (x, y) draw, with tags and keys pinned to the pencil oracle
+    pw, wrong = oracles.TOY_PASSWORD_BY_PI[5], oracles.TOY_PASSWORD_BY_PI[6]
+    for y, pw_b in itertools.product(range(11), (pw, wrong)):
+        a, b = make_pair(toy, pw, pw_b, draws=(x, y))
+        [opening], [share] = a.start(), b.start()
+        [tag] = b.receive(XID, *opening)
+        assert a.receive(XID, *tag) == [] and a.outcome is None
+        [own_tag] = a.receive(XID, *share)
+        outcome = Outcome.SUCCESS if pw_b == pw else Outcome.PASSWORD_MISMATCH
+        assert a.outcome is outcome
+        b.receive(XID, *own_tag)
+        assert b.outcome is outcome
+        if pw_b == wrong:
+            continue
+        fig1 = oracles.toy_fig1(x, y, 5, 5, IDA, IDB)
+        material = oracles.hkdf96(fig1["sk_a"])
+        shares = bytes([fig1["xstar"]]), bytes([fig1["ystar"]])
+        sid = b"".join(map(oracles.lp, (IDA, IDB, *shares, XID)))
+        assert own_tag[1] == oracles.mac_tag(material[32:64], FPR_A.bytes, FPR_B.bytes, sid)
+        assert tag[1] == oracles.mac_tag(material[64:96], FPR_A.bytes, FPR_B.bytes, sid)
+        assert a.key == b.key == material[:32]
 
 
 def test_flows_of_another_exchange_are_ignored(toy):

@@ -468,9 +468,17 @@ def test_unknown_senders_do_not_grow_the_keystore(tmp_path, toy):
         backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_DATA, b"stranger%d@x" % n,
                                        IDB, b"junk"))
     assert mb.recv_sealed(timeout=0) == []
+    # nor do a refused send and a refused renewal
+    with pytest.raises(ManagerError):
+        mb.send_sealed(b"typo@x", b"hi")
+    with pytest.raises(NoChainError):
+        mb.reauthenticate_chained(b"typo2@x")
     mb.keystore.save()
     assert mb.keystore.peers == peers
     assert (tmp_path / "b.ks").stat().st_size == size
+    # an authenticate does add its peer, even when it times out
+    assert mb.authenticate(b"late@x", b"pw", timeout=0).outcome is Outcome.ABORTED_BY_TIMEOUT
+    assert set(Keystore(tmp_path / "b.ks").peers) == set(peers) | {b"late@x"}
 
 
 def test_garbage_pake_payload_is_protocol_error(tmp_path, toy):

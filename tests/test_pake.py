@@ -2,7 +2,7 @@ import pytest
 
 from pakemail import pake
 from pakemail.groups import DecodeError
-from pakemail.pake import Phase, Role, StateError
+from pakemail.pake import Role, StateError
 
 import oracles
 
@@ -92,16 +92,14 @@ def test_transcripts_identical_both_sides(toy, production):
 
 def test_phase_transitions(toy):
     s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy)
-    assert s.phase is Phase.CREATED
-    msg = s.start()
-    assert s.phase is Phase.STARTED
-    with pytest.raises(StateError):
-        s.start()
     peer = pake.PakeSession(Role.RESPONDER, IDB, IDA, b"pw", toy)
     peer_msg = peer.start()
-    s.finish(peer_msg)
-    assert s.phase is Phase.KEYED
-    assert s.sk is not None
+    with pytest.raises(StateError):  # created: finish needs start first
+        s.finish(peer_msg)
+    msg = s.start()
+    with pytest.raises(StateError):  # started: start runs once
+        s.start()
+    assert s.finish(peer_msg) == peer.finish(msg)  # keyed
     with pytest.raises(StateError):
         s.finish(peer_msg)
 
@@ -111,8 +109,15 @@ def test_finish_decode_failure_fails_session(toy):
     s.start()
     with pytest.raises(DecodeError):
         s.finish(bytes([7]))  # 7 is not in the order-11 subgroup
-    assert s.phase is Phase.FAILED
-    assert s.sk is None
+    _assert_failed(s, toy)
+
+
+def _assert_failed(s, group):
+    # a refused share ends the session: no second finish, no transcript
+    with pytest.raises(StateError):
+        s.finish(pake.PakeSession(Role.RESPONDER, IDB, IDA, b"pw", group).start())
+    with pytest.raises(StateError):
+        s.transcript()
 
 
 def test_rejects_empty_inputs(toy):
@@ -143,8 +148,7 @@ def test_identity_share_is_not_taken_for_a_missing_one(production):
     s.start()
     with pytest.raises(DecodeError):
         s.finish(production.encode(production.identity))
-    assert s.phase is Phase.FAILED
-    assert s.sk is None
+    _assert_failed(s, production)
 
 
 def test_toy_group_keeps_its_identity_as_a_share(toy):
@@ -152,4 +156,4 @@ def test_toy_group_keeps_its_identity_as_a_share(toy):
     s = pake.PakeSession(Role.INITIATOR, IDA, IDB, b"pw", toy)
     s.start()
     assert len(s.finish(toy.encode(toy.identity))) == 32
-    assert s.phase is Phase.KEYED
+    assert s.transcript()  # keyed
