@@ -1,4 +1,4 @@
-"""One side of one four-flow exchange, without I/O and without a clock.
+"""One side of one three-flow exchange, without I/O and without a clock.
 
 An :class:`Exchange` takes the peer's flows as they come, in any order and
 with duplicates, and returns the flows to send in reply. It ends in an
@@ -7,11 +7,11 @@ with duplicates, and returns the flows to send in reply. It ends in an
 one engine per ``authenticate`` call over a transport, the adversary
 harness drives two engines by hand.
 
-The four flows: the initiator opens with its SPAKE2 share (flow 0); the
-responder answers with its share (flow 1) and its confirmation tag
-(flow 3); the initiator sends its tag (flow 2). Both shares carry the
-sender's fingerprint. A side releases the key only once the peer's tag
-verifies.
+The flows, in RFC 9382 §4 order: the initiator's share (flow 0); the
+responder's share and tag, packed (flow 1); the initiator's tag, or an
+empty payload if the responder's did not verify (flow 2). Both shares carry
+the sender's fingerprint. Only the responder releases its tag unverified;
+a side releases the key only once the peer's tag verifies.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ import enum
 
 from . import confirm, pake, wire
 from .confirm import Fingerprint
-from .groups import DecodeError
 from .pake import Role
-from .transport import (
-    FLOW_INITIATOR_PAKE,
-    FLOW_INITIATOR_TAG,
-    FLOW_RESPONDER_PAKE,
-    FLOW_RESPONDER_TAG,
-)
+from .transport import FLOW_INITIATOR_PAKE, FLOW_INITIATOR_TAG, FLOW_RESPONDER_PAKE
 
 
 class Outcome(enum.Enum):
@@ -47,7 +41,9 @@ class Exchange:
     its share carries none. ``binding="pi"`` also folds both fingerprints
     into the password, so it needs ``peer_fpr``. Once :attr:`outcome` is
     set, :attr:`key` holds the key on success and is None otherwise, and
-    :attr:`peer_fpr` is the fingerprint the tags bound.
+    :attr:`peer_fpr` is the fingerprint the tags bound. :attr:`released`
+    turns true in the :meth:`receive` that returns this side's tag while
+    the outcome is still open, so the peer could check it offline.
     """
 
     def __init__(self, role: Role, self_id: bytes, peer_id: bytes, password: bytes, group,
@@ -64,21 +60,18 @@ class Exchange:
                 password, *role.order(own_fpr, peer_fpr))
         self.outcome: Outcome | None = None
         self.key: bytes | None = None
-        # the (share, tag) flows this side sends, then the pair it takes
-        self._flows = role.order((FLOW_INITIATOR_PAKE, FLOW_INITIATOR_TAG),
-                                 (FLOW_RESPONDER_PAKE, FLOW_RESPONDER_TAG))
+        self.released = False
         self._session = pake.PakeSession(role, self_id, peer_id, password, group, rng=rng)
+        self._share: bytes | None = None
         self._bundle: confirm.ConfirmationBundle | None = None
-        self._early_tag: bytes | None = None  # a peer tag that overtook the peer's share
 
     def start(self) -> list[tuple]:
-        """This side's share, with its fingerprint.
-
-        The initiator sends it at once: it is the opening. A responder
-        sends it once it holds an opening, before it hands the opening to
-        :meth:`receive`, so the peer can work out the key at the same time.
-        """
-        return [(self._flows[0][0], self._session.start(), self.own_fpr)]
+        """The initiator's opening share, with its fingerprint. A responder
+        sends nothing yet: its share leaves with its tag, after an opening."""
+        self._share = self._session.start()
+        if self.role is Role.RESPONDER:
+            return []
+        return [(FLOW_INITIATOR_PAKE, self._share, self.own_fpr)]
 
     def receive(self, exchange_id: bytes, flow: int, payload: bytes,
                 fingerprint: Fingerprint | None = None) -> list[tuple]:
@@ -90,31 +83,35 @@ class Exchange:
         if self.outcome is not None or exchange_id != (self.exchange_id or exchange_id):
             return []
         self.exchange_id = exchange_id
-        (_, tag_flow), (peer_share, peer_tag) = self._flows
-        if flow == peer_tag:
-            if self._bundle is None:
-                self._early_tag = payload
-            else:
+        if self._bundle is not None:  # a responder that has released its tag
+            if flow == FLOW_INITIATOR_TAG:
                 self._verify(payload)
             return []
-        if flow != peer_share or self._bundle is not None:
-            return []
-        peer_fpr = fingerprint or self.peer_fpr
-        if peer_fpr is None:
-            self.outcome = Outcome.PROTOCOL_ERROR
+        initiator = self.role is Role.INITIATOR
+        if flow != (FLOW_RESPONDER_PAKE if initiator else FLOW_INITIATOR_PAKE):
             return []
         try:
-            sk = self._session.finish(payload)
-        except DecodeError:
+            # the initiator takes the responder's share and tag together
+            share, tag = wire.unpack(payload) if initiator else (payload, None)
+            sk = self._session.finish(share)
+            peer_fpr = fingerprint or self.peer_fpr
+        except ValueError:  # a DecodeError, a WireError or not two fields
+            peer_fpr = None
+        if peer_fpr is None:  # a malformed flow, or no fingerprint for the peer
             self.outcome = Outcome.PROTOCOL_ERROR
             return []
         self.peer_fpr = peer_fpr
         sid = self._session.transcript() + wire.pack([exchange_id])
         fprs = self.role.order(self.own_fpr, peer_fpr)
         self._bundle = confirm.derive_bundle(sk, sid, *fprs, self.role)
-        if self._early_tag is not None:
-            self._verify(self._early_tag)
-        return [(tag_flow, self._bundle.tau_self, None)]
+        if not initiator:
+            self.released = True
+            return [(FLOW_RESPONDER_PAKE, wire.pack([self._share, self._bundle.tau_self]),
+                     self.own_fpr)]
+        self._verify(tag)
+        # the initiator's tag goes only to a peer whose own tag verified
+        own_tag = self._bundle.tau_self if self.outcome is Outcome.SUCCESS else b""
+        return [(FLOW_INITIATOR_TAG, own_tag, None)]
 
     def _verify(self, tag: bytes) -> None:
         ok, self.key = self._bundle.verify_peer_tag(tag)

@@ -10,14 +10,14 @@ Three strategies:
   offline can single out the password in the toy group.
 * ``active-one-guess`` — plays responder against an honest initiator with
   one dictionary guess per session; succeeds only when the guess matches.
-* ``guess-and-abort`` — same single guess, but the adversary checks the
-  honest tag first and, on a mismatch, withholds its own to look like a
-  network failure. The honest engine then expires, so its history shows a
-  timeout for that exchange, never a gap.
+* ``guess-and-abort`` — same single guess, but the adversary initiates,
+  since only a responder releases its tag unverified: it checks the honest
+  responder's tag first and, on a mismatch, withholds its own to look like
+  a network failure. The honest engine then expires, so its history shows
+  a timeout for that exchange, never a gap.
 
-Each trial runs two real :class:`~pakemail.exchange.Exchange` engines, an
-honest initiator and the adversary's responder, and tallies the outcome
-the honest engine reached.
+Each trial runs two real :class:`~pakemail.exchange.Exchange` engines and
+tallies the outcome the honest engine reached.
 
 A caveat specific to the brute-forceable group: its order (11) is smaller
 than useful dictionaries, so distinct passwords can collide in their
@@ -67,24 +67,22 @@ _FPR_B = Fingerprint(bytes(range(20, 40)))
 
 
 def _run(password: bytes, guess: bytes, group, rng, withhold: bool) -> tuple[Outcome, bytes]:
-    """One exchange between an honest initiator and a responder holding ``guess``.
-
-    Returns the honest engine's outcome and its opening share. With
-    ``withhold``, the responder checks the honest tag before it releases
-    its own and, on a mismatch, never does: the honest engine expires.
-    """
+    """The honest engine's outcome and the opening share of one exchange
+    against an engine holding ``guess``. The honest side initiates, except
+    with ``withhold``: only a responder releases its tag unverified, so the
+    adversary then initiates and, on a mismatch, withholds its own tag."""
     xid = bytes(16)
-    honest = Exchange(Role.INITIATOR, _ID_A, _ID_B, password, group, _FPR_A,
-                      exchange_id=xid, rng=rng)
-    other = Exchange(Role.RESPONDER, _ID_B, _ID_A, guess, group, _FPR_B, rng=rng)
-    [opening], [share] = honest.start(), other.start()
-    [tag] = other.receive(xid, *opening)
-    [honest_tag] = honest.receive(xid, *share)
-    if withhold:  # the other strategies never look at the honest tag
-        other.receive(xid, *honest_tag)
+    roles = (Role.RESPONDER, Role.INITIATOR) if withhold else (Role.INITIATOR, Role.RESPONDER)
+    honest = Exchange(roles[0], _ID_A, _ID_B, password, group, _FPR_A, exchange_id=xid, rng=rng)
+    other = Exchange(roles[1], _ID_B, _ID_A, guess, group, _FPR_B, exchange_id=xid, rng=rng)
+    initiator, responder = roles[0].order(honest, other)
+    [opening] = initiator.start()
+    responder.start()
+    [answer] = responder.receive(xid, *opening)
+    [tag] = initiator.receive(xid, *answer)
     if withhold and other.outcome is not Outcome.SUCCESS:
-        honest.expire()
-    else:
+        honest.expire()  # the adversary withholds its tag
+    elif withhold:  # without it, the honest engine initiated and is done
         honest.receive(xid, *tag)
     return honest.outcome, opening[1]
 

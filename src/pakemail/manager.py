@@ -1,11 +1,13 @@
 """Keystore persistence and the exchange driver.
 
-The :class:`SessionManager` drives the four-flow exchange engine of
+The :class:`SessionManager` drives the three-flow exchange engine of
 :mod:`pakemail.exchange` over any transport backend, enforces the
-failed-attempt lockout, keeps a persistent exchange history (a silent
-guess-and-abort shows up as a timeout, not nothing: the engine expires at
-the deadline), and re-authenticates renewed key material by chaining the
-stored high-entropy key into the next run as its password.
+failed-attempt lockout, keeps a persistent exchange history, and
+re-authenticates renewed key material by chaining the stored high-entropy
+key into the next run as its password. Only a responder releases its tag
+unverified, so only it can be probed by guess-and-abort; it counts a failed
+attempt on disk before that tag leaves, and a silent probe shows in the
+history as a timeout, not nothing.
 """
 
 from __future__ import annotations
@@ -543,23 +545,22 @@ class SessionManager:
             taken, self._running[exchange_id] = self._running[exchange_id], []
             return taken
 
-        share = engine.start()
         try:
             if role is Role.INITIATOR:
                 with self._lock:
                     self._running[exchange_id] = []
-                self._send(peer, exchange_id, share)
-                share = None
+            self._send(peer, exchange_id, engine.start())
             while engine.outcome is None:
                 envelopes = self._receive(deadline, pick)
                 if not envelopes:
                     engine.expire()
-                elif share:  # a responder answers the opening with its share first
-                    self._send(peer, exchange_id, share)
-                    share = None
                 for env in envelopes:
-                    self._send(peer, exchange_id, engine.receive(
-                        env.exchange_id, env.flow, env.payload, env.fingerprint))
+                    flows = engine.receive(env.exchange_id, env.flow, env.payload,
+                                           env.fingerprint)
+                    if flows and engine.released:  # charged on disk before the tag leaves
+                        record.failed_attempts += 1
+                        self.keystore.save()
+                    self._send(peer, exchange_id, flows)
         finally:
             with self._lock:
                 self._running.pop(exchange_id, None)
@@ -569,7 +570,7 @@ class SessionManager:
             record.chained_key = engine.key
             record.failed_attempts = 0
             record.fingerprint = engine.peer_fpr
-        elif engine.outcome is Outcome.PASSWORD_MISMATCH:
+        elif engine.outcome is Outcome.PASSWORD_MISMATCH and not engine.released:
             record.failed_attempts += 1
         self.keystore.record_exchange(ExchangeRecord(
             exchange_id=exchange_id or b"\x00" * 16,

@@ -41,13 +41,15 @@ from .confirm import Fingerprint
 
 logger = logging.getLogger(__name__)
 
+# the three flows of an exchange, in RFC 9382 order: the initiator's share;
+# the responder's share and tag, packed; the initiator's tag, sent only
+# after the responder's verified, and empty when it did not
 FLOW_INITIATOR_PAKE = 0
 FLOW_RESPONDER_PAKE = 1
 FLOW_INITIATOR_TAG = 2
-FLOW_RESPONDER_TAG = 3
 FLOW_DATA = 9
 
-VALID_FLOWS = (0, 1, 2, 3, 9)
+VALID_FLOWS = (0, 1, 2, 9)
 
 _SUBJECT_RE = re.compile(r"^PAKEMAIL ([0-9a-f]{32}) (\d)$")
 _ENVELOPE_MAGIC = b"PKML1"

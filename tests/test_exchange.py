@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from pakemail.confirm import Fingerprint
 from pakemail.exchange import Exchange, Outcome
 from pakemail.pake import Role
-from pakemail.transport import FLOW_INITIATOR_PAKE, FLOW_RESPONDER_PAKE
+from pakemail.transport import FLOW_INITIATOR_PAKE, FLOW_INITIATOR_TAG, FLOW_RESPONDER_PAKE
+from pakemail.wire import pack, unpack
 
 IDA, IDB = b"a@x", b"b@x"
 FPR_A, FPR_B = Fingerprint(bytes(20)), Fingerprint(bytes(range(20)))
@@ -59,7 +60,12 @@ def test_engines_on_a_hostile_network(toy, residue_a, shift, seed, lossy, data):
             continue
         wire.pop(i)
         if action != "drop":
-            wire += [(peer[id(engine)], reply) for reply in engine.receive(XID, *flow)]
+            replies = engine.receive(XID, *flow)
+            # the initiator's tag goes out only once the responder's verified
+            for reply in replies if engine is a else ():
+                valid = a.outcome is Outcome.SUCCESS
+                assert reply[:2] == (FLOW_INITIATOR_TAG, a._bundle.tau_self if valid else b"")
+            wire += [(peer[id(engine)], reply) for reply in replies]
     a.expire()
     b.expire()
 
@@ -75,35 +81,60 @@ def test_engines_on_a_hostile_network(toy, residue_a, shift, seed, lossy, data):
 
 
 @pytest.mark.parametrize("x", range(11))
-def test_a_tag_that_overtakes_the_share_waits_for_it(toy, x):
-    # every (x, y) draw, with tags and keys pinned to the pencil oracle
-    pw, wrong = oracles.TOY_PASSWORD_BY_PI[5], oracles.TOY_PASSWORD_BY_PI[6]
-    for y, pw_b in itertools.product(range(11), (pw, wrong)):
-        a, b = make_pair(toy, pw, pw_b, draws=(x, y))
-        [opening], [share] = a.start(), b.start()
-        [tag] = b.receive(XID, *opening)
-        assert a.receive(XID, *tag) == [] and a.outcome is None
-        [own_tag] = a.receive(XID, *share)
-        outcome = Outcome.SUCCESS if pw_b == pw else Outcome.PASSWORD_MISMATCH
-        assert a.outcome is outcome
-        b.receive(XID, *own_tag)
-        assert b.outcome is outcome
-        if pw_b == wrong:
-            continue
-        fig1 = oracles.toy_fig1(x, y, 5, 5, IDA, IDB)
-        material = oracles.hkdf96(fig1["sk_a"])
+def test_three_flows_in_order_match_the_pencil_oracle(toy, x):
+    # every (x, y) draw, with shares, tags and keys pinned to the pencil oracle
+    for y, pi_b in itertools.product(range(11), (5, 6)):
+        a, b = make_pair(toy, oracles.TOY_PASSWORD_BY_PI[5], oracles.TOY_PASSWORD_BY_PI[pi_b],
+                         draws=(x, y))
+        assert b.start() == []
+        [opening] = a.start()
+        [answer] = b.receive(XID, *opening)
+        assert b.released and b.outcome is None
+        [confirm] = a.receive(XID, *answer)
+        assert not a.released
+        b.receive(XID, *confirm)
+        fig1 = oracles.toy_fig1(x, y, 5, pi_b)
         shares = bytes([fig1["xstar"]]), bytes([fig1["ystar"]])
         sid = b"".join(map(oracles.lp, (IDA, IDB, *shares, XID)))
-        assert own_tag[1] == oracles.mac_tag(material[32:64], FPR_A.bytes, FPR_B.bytes, sid)
-        assert tag[1] == oracles.mac_tag(material[64:96], FPR_A.bytes, FPR_B.bytes, sid)
-        assert a.key == b.key == material[:32]
+        material_a, material_b = oracles.hkdf96(fig1["sk_a"]), oracles.hkdf96(fig1["sk_b"])
+        tau_a = oracles.mac_tag(material_a[32:64], FPR_A.bytes, FPR_B.bytes, sid)
+        tau_b = oracles.mac_tag(material_b[64:96], FPR_A.bytes, FPR_B.bytes, sid)
+        assert opening == (FLOW_INITIATOR_PAKE, shares[0], FPR_A)
+        assert answer == (FLOW_RESPONDER_PAKE, pack([shares[1], tau_b]), FPR_B)
+        if pi_b == 5:
+            assert a.outcome is b.outcome is Outcome.SUCCESS
+            assert confirm == (FLOW_INITIATOR_TAG, tau_a, None)
+            assert a.key == b.key == material_a[:32]
+        else:
+            # after a bad responder tag the initiator releases nothing of its own
+            assert a.outcome is b.outcome is Outcome.PASSWORD_MISMATCH
+            assert confirm == (FLOW_INITIATOR_TAG, b"", None) and confirm[1] != tau_a
+            assert a.key is b.key is None
+
+
+MALFORMED_ANSWERS = {
+    "bare-share": lambda share, tag: share,  # the earlier wire format's flow 1
+    "one-field": lambda share, tag: pack([share]),
+    "three-fields": lambda share, tag: pack([share, tag, tag]),
+    "truncated-prefix": lambda share, tag: pack([share, tag]) + b"\x00\x00",
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_ANSWERS)
+def test_a_malformed_answer_is_a_protocol_error_and_sends_nothing(toy, name):
+    a, b = make_pair(toy, b"pw", b"pw")
+    b.start()
+    [(flow, answer, fpr)] = b.receive(XID, *a.start()[0])
+    share, tag = unpack(answer)
+    assert a.receive(XID, flow, MALFORMED_ANSWERS[name](share, tag), fpr) == []
+    assert a.outcome is Outcome.PROTOCOL_ERROR and a.key is None
 
 
 def test_flows_of_another_exchange_are_ignored(toy):
     a, b = make_pair(toy, b"pw", b"pw")
-    [opening], [share] = a.start(), b.start()
-    [tag] = b.receive(XID, *opening)
-    assert a.receive(bytes(16), *share) == [] and a.receive(bytes(16), *tag) == []
+    b.start()
+    [answer] = b.receive(XID, *a.start()[0])
+    assert a.receive(bytes(16), *answer) == []
     assert a.outcome is None
     a.expire()
     assert a.outcome is Outcome.ABORTED_BY_TIMEOUT and a.key is None
@@ -111,7 +142,7 @@ def test_flows_of_another_exchange_are_ignored(toy):
 
 def test_a_share_without_any_fingerprint_is_a_protocol_error(toy):
     a, b = make_pair(toy, b"pw", b"pw")
-    [(flow, payload, _)], [(reply, _, _)] = a.start(), b.start()
-    assert (flow, reply) == (FLOW_INITIATOR_PAKE, FLOW_RESPONDER_PAKE)
+    [(flow, payload, _)] = a.start()
+    assert flow == FLOW_INITIATOR_PAKE and b.start() == []
     assert b.receive(XID, flow, payload, None) == []
     assert b.outcome is Outcome.PROTOCOL_ERROR and b.key is None

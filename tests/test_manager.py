@@ -3,9 +3,12 @@ import sys
 import threading
 from collections import deque
 
+import oracles
 import pytest
 
 from pakemail import manager, sealed
+from pakemail.confirm import Fingerprint
+from pakemail.exchange import Exchange
 from pakemail.manager import (
     AttemptPolicy,
     AuthResult,
@@ -24,7 +27,6 @@ from pakemail.transport import (
     FLOW_INITIATOR_PAKE,
     FLOW_INITIATOR_TAG,
     FLOW_RESPONDER_PAKE,
-    FLOW_RESPONDER_TAG,
     LoopbackTransport,
     TransportEnvelope,
     fresh_exchange_id,
@@ -304,6 +306,74 @@ def test_silent_peer_times_out_and_is_recorded(tmp_path, toy):
     assert ma.keystore.peer(IDB).failed_attempts == 0
 
 
+@pytest.mark.parametrize("pw_b, outcome", [(b"pw-right", Outcome.SUCCESS),
+                                           (b"pw-wrong", Outcome.PASSWORD_MISMATCH)])
+def test_a_handshake_sends_three_envelopes(tmp_path, toy, pw_b, outcome):
+    sent = []
+
+    class Recording(LoopbackTransport):
+        def send(self, env):
+            sent.append(env)
+            super().send(env)
+
+    ma, mb = make_pair(tmp_path, toy, backend=Recording())
+    ra, rb = run_both(ma, mb, b"pw-right", pw_b)
+    assert ra.outcome is rb.outcome is outcome
+    assert [(e.sender, e.flow) for e in sent] == [
+        (IDA, FLOW_INITIATOR_PAKE), (IDB, FLOW_RESPONDER_PAKE), (IDA, FLOW_INITIATOR_TAG)]
+    # after a bad responder tag the initiator's flow 2 is empty, never its tag
+    assert (sent[2].payload == b"") == (outcome is Outcome.PASSWORD_MISMATCH)
+    # a mismatch counts once on each side, the responder's at its release
+    failed = int(outcome is Outcome.PASSWORD_MISMATCH)
+    assert ma.keystore.peer(IDB).failed_attempts == mb.keystore.peer(IDA).failed_attempts == failed
+
+
+def test_guess_and_abort_probes_lock_the_responder_out(tmp_path, toy):
+    # the scripted initiator checks each responder tag offline and withholds
+    # its own; the responder must charge every probe before its tag leaves
+    password = oracles.TOY_PASSWORD_BY_PI[0]
+    backend = LoopbackTransport()
+    policy = AttemptPolicy(max_failed_attempts=3, timeout=5.0)
+    _, mb = make_pair(tmp_path, toy, backend=backend, policy=policy)
+    # a responder that never got an opening is not charged
+    assert mb.authenticate(IDA, password, timeout=0).outcome is Outcome.ABORTED_BY_TIMEOUT
+    assert mb.keystore.peer(IDA).failed_attempts == 0
+    for n in range(1, 6):
+        probe = Exchange(Role.INITIATOR, IDA, IDB, oracles.TOY_PASSWORD_BY_PI[n], toy,
+                         Fingerprint(bytes(20)), exchange_id=fresh_exchange_id())
+        for flow, payload, fpr in probe.start():
+            backend.send(TransportEnvelope(probe.exchange_id, flow, IDA, IDB, payload, fpr))
+        if n > policy.max_failed_attempts:
+            with pytest.raises(LockedOutError):
+                mb.authenticate(IDA, password, timeout=0.05)
+            break
+        assert mb.authenticate(IDA, password, timeout=0.05).outcome is Outcome.ABORTED_BY_TIMEOUT
+        for env in backend.poll(IDA):  # nothing goes back
+            probe.receive(env.exchange_id, env.flow, env.payload, env.fingerprint)
+        assert probe.outcome is Outcome.PASSWORD_MISMATCH
+        assert Keystore(tmp_path / "b.ks").peer(IDA).failed_attempts == n
+    assert [e.outcome for e in mb.keystore.exchanges] == [Outcome.ABORTED_BY_TIMEOUT] * 4
+
+
+def test_a_lost_initiator_tag_is_charged_once_and_cleared_by_the_retry(tmp_path, toy):
+    lost = []
+
+    class LosesOneTag(LoopbackTransport):
+        def send(self, env):
+            if env.flow == FLOW_INITIATOR_TAG and not lost:
+                lost.append(env)
+            else:
+                super().send(env)
+
+    ma, mb = make_pair(tmp_path, toy, backend=LosesOneTag())
+    ra, rb = run_both(ma, mb, b"pw", b"pw", timeout=1.0)
+    assert lost and ra.outcome is Outcome.SUCCESS and rb.outcome is Outcome.ABORTED_BY_TIMEOUT
+    assert mb.keystore.peer(IDA).failed_attempts == 1
+    ra, rb = run_both(ma, mb, b"pw", b"pw")
+    assert ra.outcome is rb.outcome is Outcome.SUCCESS and ra.key == rb.key
+    assert mb.keystore.peer(IDA).failed_attempts == ma.keystore.peer(IDB).failed_attempts == 0
+
+
 def test_one_manager_serves_two_peers_on_threads(tmp_path, toy):
     idc = b"c@x"
     peers = (IDB, idc)
@@ -313,7 +383,7 @@ def test_one_manager_serves_two_peers_on_threads(tmp_path, toy):
 
     class InLockstep(LoopbackTransport):
         def send(self, env):
-            if env.flow == FLOW_RESPONDER_TAG:
+            if env.flow == FLOW_RESPONDER_PAKE:
                 barrier.wait()
             super().send(env)
 
@@ -444,7 +514,7 @@ def test_a_flood_of_unrouted_envelopes_leaves_every_container_bounded(tmp_path, 
     # tags of exchanges nobody runs, openings from distinct senders nobody
     # answers, and data from senders without a key
     for i in range(n):
-        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_INITIATOR_TAG + i % 2, IDA,
+        backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_RESPONDER_PAKE + i % 2, IDA,
                                        IDB, b"junk"))
     for i in range(n):
         backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_INITIATOR_PAKE, b"s%d@x" % i,

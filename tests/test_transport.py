@@ -48,14 +48,15 @@ def env(flow=0, sender=b"a@x", recipient=b"b@x", payload=b"payload",
 def test_envelope_validation():
     with pytest.raises(EnvelopeError):
         env(exchange_id=b"short")
-    with pytest.raises(EnvelopeError):
-        env(flow=7)
+    for flow in (3, 7):  # 3 was the responder's separate tag flow
+        with pytest.raises(EnvelopeError):
+            env(flow=flow)
     with pytest.raises(EnvelopeError):
         env(sender=b"")
 
 
 def test_envelope_bytes_roundtrip():
-    for flow in (0, 1, 2, 3, 9):
+    for flow in (0, 1, 2, 9):
         e = env(flow=flow)
         assert TransportEnvelope.from_bytes(e.to_bytes()) == e
 
@@ -122,7 +123,7 @@ def test_loopback_wait_without_mail_returns_after_its_timeout(blocking_poll):
 
 
 def test_email_roundtrip():
-    for flow in (0, 1, 2, 3, 9):
+    for flow in (0, 1, 2, 9):
         e = env(flow=flow, payload=secrets.token_bytes(64))
         decoded = decode_email(encode_email(e))
         assert decoded == e
@@ -147,9 +148,9 @@ def test_bad_flow_in_subject_rejected():
     subject = f"Subject: PAKEMAIL {e.exchange_id.hex()} {e.flow}".encode()
     raw = encode_email(e)
     assert raw.count(subject) == 1
-    raw = raw.replace(subject, subject[:-1] + b"7")
-    with pytest.raises(EnvelopeError):
-        decode_email(raw)
+    for flow in (b"3", b"7"):
+        with pytest.raises(EnvelopeError):
+            decode_email(raw.replace(subject, subject[:-1] + flow))
 
 
 # a message the EmailMessage-based encoder wrote: mail of that shape may
@@ -378,8 +379,8 @@ KNOWN_ENVELOPES = [
                        Fingerprint(bytes(range(0xa0, 0xb4)))),
      "504b4d4c31" "000102030405060708090a0b0c0d0e0f" "00" "00000003614078" "00000003624078"
      "00000014a0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3" "0000000402000000"),
-    (TransportEnvelope(bytes(range(16)), 3, b"a@x", b"b@x", b"tag"),
-     "504b4d4c31" "000102030405060708090a0b0c0d0e0f" "03" "00000003614078" "00000003624078"
+    (TransportEnvelope(bytes(range(16)), 2, b"a@x", b"b@x", b"tag"),
+     "504b4d4c31" "000102030405060708090a0b0c0d0e0f" "02" "00000003614078" "00000003624078"
      "00000000" "00000003746167"),
 ]
 
