@@ -152,14 +152,21 @@ def _build_backend(config: ClientConfig):
     raise ValueError(f"unknown transport {spec!r}")
 
 
+def _keystore(config: ClientConfig, create: bool = False) -> Keystore:
+    """The configured keystore; a missing one is made only if ``create``."""
+    if not create and not Path(config.keystore).is_file():
+        raise ValueError(f"no keystore at {config.keystore}")
+    return Keystore(config.keystore, config.identity.encode() if config.identity else None)
+
+
 @contextmanager
-def _session(config: ClientConfig) -> typing.Iterator[SessionManager]:
+def _session(config: ClientConfig, create: bool = False) -> typing.Iterator[SessionManager]:
     """The configured manager; its backend is closed however the command ends."""
     if not config.identity:
         raise ValueError("no identity configured (set identity in config or PAKEMAIL_IDENTITY)")
     if config.group == "toy" and not config.insecure_toy_group:
         raise ValueError("the toy group is brute-forceable; pass --insecure-toy-group to use it")
-    keystore = Keystore(config.keystore, config.identity.encode())
+    keystore = _keystore(config, create)
     policy = AttemptPolicy(max_failed_attempts=config.max_failed_attempts,
                            timeout=config.timeout)
     manager = SessionManager(keystore, _build_backend(config), get_group(config.group), policy)
@@ -167,10 +174,6 @@ def _session(config: ClientConfig) -> typing.Iterator[SessionManager]:
         yield manager
     finally:
         manager.backend.close()
-
-
-def _open_keystore(config: ClientConfig) -> Keystore:
-    return Keystore(config.keystore, config.identity.encode() if config.identity else None)
 
 
 def _read_password() -> bytes:
@@ -185,7 +188,7 @@ def _read_password() -> bytes:
 
 def cmd_auth(args, config: ClientConfig) -> int:
     role = Role(args.role) if args.role else None
-    with _session(config) as manager:
+    with _session(config, create=True) as manager:  # the only command that makes a keystore
         password = _read_password()
         result = manager.authenticate(args.peer.encode(), password, role)
     verdict, code = _OUTCOMES[result.outcome]
@@ -263,7 +266,7 @@ def cmd_recv(args, config: ClientConfig) -> int:
 
 
 def cmd_status(args, config: ClientConfig) -> int:
-    keystore = _open_keystore(config)
+    keystore = _keystore(config)
     print(f"identity: {keystore.self_identity.decode(errors='replace')}")
     print(f"own fingerprint: {keystore.self_fingerprint.hex}")
     print("peers:")
@@ -280,9 +283,7 @@ def cmd_status(args, config: ClientConfig) -> int:
 
 
 def cmd_unlock(args, config: ClientConfig) -> int:
-    if not Path(config.keystore).is_file():  # opening would create an empty one
-        raise ValueError(f"no keystore at {config.keystore}")
-    keystore = _open_keystore(config)
+    keystore = _keystore(config)
     peer = args.peer.encode()
     if peer not in keystore.peers:  # Keystore.peer would add a record for it
         raise ManagerError(f"no record of {args.peer!r} in {config.keystore}; nothing to unlock")

@@ -96,10 +96,6 @@ class ConfirmationBundle:
             return True, self._key
         return False, None
 
-    @property
-    def accepted(self) -> bool | None:
-        return self._verdict
-
     # test-only visibility into the split, never used on the protocol path
     def _keys_for_testing(self) -> tuple[bytes, bytes, bytes]:
         return self._key, self._k_mac_a, self._k_mac_b

@@ -12,6 +12,7 @@ history as a timeout, not nothing.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import os
@@ -19,9 +20,11 @@ import secrets
 import tempfile
 import threading
 import time
+import typing
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from . import sealed
@@ -68,8 +71,14 @@ class AttemptPolicy:
 
 
 @dataclass
-class PeerRecord:
+class _SelfRecord:
     identity: bytes
+    fingerprint: Fingerprint
+
+
+@dataclass
+class PeerRecord:
+    identity: bytes = dataclasses.field(metadata={"in_tag": True})  # tag `peer <hex>`
     fingerprint: Fingerprint | None = None
     authenticated: bool = False
     chained_key: bytes | None = None
@@ -97,14 +106,6 @@ class AuthResult:
 # ---------------------------------------------------------------------------
 # Keystore
 # ---------------------------------------------------------------------------
-
-def _hex(value: bytes | None) -> str | None:
-    return value.hex() if value is not None else None
-
-
-def _unhex(value: str | None) -> bytes | None:
-    return bytes.fromhex(value) if value is not None else None
-
 
 def _checksummed(body: bytes) -> bytes:
     """``body`` behind 8 hex digits: the CRC-32 of the rest of the line."""
@@ -137,45 +138,43 @@ def _sealed(data: bytes, lines: list[bytes], end: int) -> tuple[int, int, int]:
     return 0, 0, 0
 
 
-def _line(prefix: str, obj: dict) -> bytes:
+# (to JSON, from JSON) by declared type; None and other types stay as they are
+_CONVERTERS = {bytes: (bytes.hex, bytes.fromhex),
+               Fingerprint: (attrgetter("hex"), Fingerprint.from_hex),
+               Role: (attrgetter("value"), Role), Outcome: (attrgetter("value"), Outcome)}
+
+
+def _converters(cls) -> list[tuple]:
+    """(name, to JSON, from JSON) for each journal field of ``cls``, in order."""
+    kinds = {name: (typing.get_args(kind) or (kind,))[0]  # X | None converts as X
+             for name, kind in typing.get_type_hints(cls).items()}
+    return [(f.name, *_CONVERTERS.get(kinds[f.name], (None, None)))
+            for f in dataclasses.fields(cls) if not f.metadata.get("in_tag")]
+
+
+_FIELDS = {cls: _converters(cls) for cls in (_SelfRecord, PeerRecord, ExchangeRecord)}
+
+
+def _convert(value, convert):
+    return value if value is None or convert is None else convert(value)
+
+
+def _line(prefix: str, record) -> bytes:
     """One journal record, ``<checksum> <prefix> <JSON>``, without its newline."""
+    obj = {name: _convert(getattr(record, name), encode)
+           for name, encode, _ in _FIELDS[type(record)]}
     return _checksummed(f"{prefix} {json.dumps(obj)}".encode())
 
 
-def _peer_state(record: PeerRecord) -> tuple:
-    return (record.fingerprint, record.authenticated, record.chained_key,
-            record.failed_attempts)
+def _record(cls, payload: bytes, *tagged):
+    """``cls`` from its ``tagged`` leading fields and JSON; a missing key takes its default."""
+    obj = json.loads(payload)
+    return cls(*tagged, **{name: _convert(obj[name], decode)
+                            for name, _, decode in _FIELDS[cls] if name in obj})
 
 
 def _peer_line(record: PeerRecord) -> bytes:
-    return _line(f"peer {record.identity.hex()}", {
-        "fingerprint": record.fingerprint.hex if record.fingerprint else None,
-        "authenticated": record.authenticated,
-        "chained_key": _hex(record.chained_key),
-        "failed_attempts": record.failed_attempts,
-    })
-
-
-def _peer_record(identity: bytes, obj: dict) -> PeerRecord:
-    fpr = _unhex(obj.get("fingerprint"))
-    return PeerRecord(
-        identity=identity,
-        fingerprint=Fingerprint(fpr) if fpr else None,
-        authenticated=obj["authenticated"],
-        chained_key=_unhex(obj.get("chained_key")),
-        failed_attempts=obj["failed_attempts"],
-    )
-
-
-def _exchange_line(rec: ExchangeRecord) -> bytes:
-    return _line("exchange", {
-        "exchange_id": _hex(rec.exchange_id),
-        "peer": _hex(rec.peer),
-        "role": rec.role.value,
-        "outcome": rec.outcome.value,
-        "started_at": rec.started_at,
-        "ended_at": rec.ended_at,
-    })
+    return _line(f"peer {record.identity.hex()}", record)
 
 
 # an exchange record starts with its checksum, then _EXCHANGE
@@ -183,15 +182,7 @@ _TAG, _EXCHANGE = slice(9, 18), b"exchange "
 
 
 def _parse_exchange(line: bytes) -> ExchangeRecord:
-    obj = json.loads(line[_TAG.stop:])
-    return ExchangeRecord(
-        exchange_id=_unhex(obj["exchange_id"]),
-        peer=_unhex(obj["peer"]),
-        role=Role(obj["role"]),
-        outcome=Outcome(obj["outcome"]),
-        started_at=obj["started_at"],
-        ended_at=obj["ended_at"],
-    )
+    return _record(ExchangeRecord, line[_TAG.stop:])
 
 
 def _fsync_dir(path: Path) -> None:
@@ -207,13 +198,17 @@ class Keystore:
 
     Format ``pakemail-keystore v2``: a header line, then one record per
     line, ``<checksum> <tag> ...``. The checksum is 8 hex digits, the
-    CRC-32 of the rest of the line. Binaries are in hex. Records:
+    CRC-32 of the rest of the line. Records:
 
     * ``self <JSON>``: own identity and fingerprint;
     * ``peer <identity> <JSON>``: one peer's state; the newest record per
       identity wins, and only that one is parsed;
     * ``exchange <JSON>``: one history entry, oldest first;
     * ``seal <crc>``: ``crc`` is the CRC-32 of every byte before the seal.
+
+    Each JSON has one key per field of its dataclass, in declaration order
+    (a peer's identity is in hex in its tag); bytes and fingerprints are in
+    hex, enums by value. A missing key takes its field's default.
 
     ``save()`` appends only what changed since the last save: peer records
     that differ from their last saved state (mutated in place or new) and
@@ -257,7 +252,7 @@ class Keystore:
         # count, offset just past the last good record and the CRC-32 of the
         # bytes before it, whether a torn record follows it, whether the
         # next save must write a fresh file
-        self._saved_peers: dict[bytes, tuple] = {}
+        self._saved_peers: dict[bytes, PeerRecord] = {}
         self._superseded = 0
         self._end = 0
         self._crc = 0
@@ -308,27 +303,33 @@ class Keystore:
         for (tag, key), (line, payload) in latest.items():
             try:
                 if tag == b"self":
-                    self._set_self(json.loads(payload))
+                    own = _record(_SelfRecord, payload)
+                    self.self_identity, self.self_fingerprint = own.identity, own.fingerprint
                 elif tag == b"peer":
-                    record = _peer_record(bytes.fromhex(key.decode()), json.loads(payload))
+                    record = _record(PeerRecord, payload, bytes.fromhex(key.decode()))
                     self.peers[record.identity] = record
-                    self._saved_peers[record.identity] = _peer_state(record)
+                    self._saved_peers[record.identity] = dataclasses.replace(record)
                 elif tag != b"seal":
                     raise ValueError(f"unknown record tag {tag!r}")
-            except (ValueError, KeyError, TypeError) as exc:
-                number = lines.index(line) + 2
-                raise ManagerError(f"{self.path}: line {number} is malformed") from exc
+            except (ValueError, TypeError) as exc:
+                raise self._malformed(line) from exc
 
-    def _set_self(self, obj: dict) -> None:
-        self.self_identity = _unhex(obj["identity"])
-        self.self_fingerprint = Fingerprint(_unhex(obj["fingerprint"]))
+    def _malformed(self, line: bytes) -> ManagerError:
+        number = self.path.read_bytes().split(b"\n").index(line) + 1
+        return ManagerError(f"{self.path}: line {number} is malformed")
 
     @property
     def exchanges(self) -> list[ExchangeRecord]:
         """The exchange history, oldest first; append to it and save()."""
         with self._lock:
             if self._unparsed:
-                self._exchanges[:0] = [_parse_exchange(line) for line in self._unparsed]
+                parsed = []
+                try:
+                    for line in self._unparsed:
+                        parsed.append(_parse_exchange(line))
+                except (ValueError, TypeError) as exc:
+                    raise self._malformed(line) from exc
+                self._exchanges[:0] = parsed
                 self._saved += len(self._unparsed)
                 self._unparsed = []
             return self._exchanges
@@ -336,8 +337,8 @@ class Keystore:
     def save(self) -> None:
         with self._lock:
             changed = [identity for identity, record in self.peers.items()
-                       if _peer_state(record) != self._saved_peers.get(identity)]
-            new = [_exchange_line(rec) for rec in self._exchanges[self._saved:]]
+                       if record != self._saved_peers.get(identity)]
+            new = [_line("exchange", rec) for rec in self._exchanges[self._saved:]]
             # an append supersedes the previous seal
             superseded = self._superseded + 1 + sum(
                 identity in self._saved_peers for identity in changed)
@@ -353,7 +354,7 @@ class Keystore:
             self._saved += len(new)
             self._superseded = superseded
             for identity in changed:
-                self._saved_peers[identity] = _peer_state(self.peers[identity])
+                self._saved_peers[identity] = dataclasses.replace(self.peers[identity])
 
     def _append(self, data: bytes) -> None:
         # O_APPEND and one unbuffered write: an append from another process
@@ -372,17 +373,13 @@ class Keystore:
 
     def _compact(self, new: list[bytes]) -> None:
         """Write only live records to a fresh file and rename it into place."""
-        own = _line("self", {
-            "identity": _hex(self.self_identity),
-            "fingerprint": self.self_fingerprint.hex,
-        })
-        data = b"\n".join([KEYSTORE_HEADER.encode(), own]
+        own = _SelfRecord(self.self_identity, self.self_fingerprint)
+        data = b"\n".join([KEYSTORE_HEADER.encode(), _line("self", own)]
                          + [_peer_line(record) for record in self.peers.values()]
                          + self._unparsed
-                         + [_exchange_line(rec) for rec in self._exchanges[:self._saved]]
+                         + [_line("exchange", rec) for rec in self._exchanges[:self._saved]]
                          + new) + b"\n"
-        crc = zlib.crc32(data)
-        data += _seal(crc)
+        data += _seal(zlib.crc32(data))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".keystore-")
         try:
@@ -404,9 +401,7 @@ class Keystore:
     def peer(self, identity: bytes) -> PeerRecord:
         identity = bytes(identity)
         with self._lock:
-            if identity not in self.peers:
-                self.peers[identity] = PeerRecord(identity=identity)
-            return self.peers[identity]
+            return self.peers.setdefault(identity, PeerRecord(identity))
 
     def record_exchange(self, record: ExchangeRecord) -> None:
         with self._lock:
@@ -573,13 +568,7 @@ class SessionManager:
         elif engine.outcome is Outcome.PASSWORD_MISMATCH and not engine.released:
             record.failed_attempts += 1
         self.keystore.record_exchange(ExchangeRecord(
-            exchange_id=exchange_id or b"\x00" * 16,
-            peer=peer,
-            role=role,
-            outcome=engine.outcome,
-            started_at=started,
-            ended_at=time.time(),
-        ))
+            exchange_id or b"\x00" * 16, peer, role, engine.outcome, started, time.time()))
         return AuthResult(engine.outcome, exchange_id, engine.key)
 
     # -- chaining ----------------------------------------------------------

@@ -96,6 +96,11 @@ def _argv(tmp_path, *rest, identity="a@x"):
             *rest]
 
 
+def _new_keystore(tmp_path, identity="a@x"):
+    """The keystore `pakemail auth` would have made before any other command."""
+    Keystore(tmp_path / f"{identity}.ks", identity.encode())
+
+
 def test_attack_cost_published_cases(capsys):
     assert main(["attack-cost", "--published-cases"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -135,12 +140,14 @@ def test_toy_group_refused_without_flag(tmp_path, capsys):
 
 
 def test_send_refused_before_auth(tmp_path, capsys):
+    _new_keystore(tmp_path)
     rc = main(_argv(tmp_path, "send", "b@x", "hi"))
     assert rc == EXIT_ERROR
     assert "refuse" in capsys.readouterr().out
 
 
 def test_status_new_keystore(tmp_path, capsys):
+    _new_keystore(tmp_path)
     assert main(_argv(tmp_path, "status")) == EXIT_OK
     out = capsys.readouterr().out
     assert "identity: a@x" in out
@@ -148,6 +155,7 @@ def test_status_new_keystore(tmp_path, capsys):
 
 
 def test_renew_without_chain(tmp_path):
+    _new_keystore(tmp_path)
     assert main(_argv(tmp_path, "renew", "b@x")) == EXIT_NO_CHAIN
 
 
@@ -248,6 +256,7 @@ def test_toy_group_allowed_by_file_true_or_flag(tmp_path, capsys, source):
     else:
         argv = ["--group", "toy", "--insecure-toy-group"]
     # past the group check: the send itself is refused, the peer is unknown
+    _new_keystore(tmp_path)
     assert main([*argv, *_argv(tmp_path, "send", "b@x", "hi")]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert "refuse" in captured.out and captured.err == ""
@@ -327,7 +336,18 @@ def test_every_command_reports_a_failure_alike(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(cli, "_read_password", lambda: b"pw")
     monkeypatch.setattr(SessionManager, method, fail)
     monkeypatch.setattr(LoopbackTransport, "close", lambda self: closed.append(self))
+    _new_keystore(tmp_path)
     assert main(_argv(tmp_path, *argv)) == code
     captured = capsys.readouterr()
     assert captured.out.startswith(report) and captured.err == ""
     assert len(closed) == 1
+
+
+@pytest.mark.parametrize("argv", [["status"], ["send", "b@x", "hi"], ["recv", "--wait", "0"],
+                                  ["renew", "b@x"], ["unlock", "b@x"]], ids=lambda a: a[0])
+def test_only_auth_creates_a_keystore(tmp_path, capsys, argv):
+    # a mistyped --keystore path is refused by every other command, and left absent
+    path = tmp_path / "a@x.ks"
+    assert main(_argv(tmp_path, *argv)) == EXIT_ERROR
+    assert f"no keystore at {path}" in capsys.readouterr().err
+    assert not path.exists()

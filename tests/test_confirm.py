@@ -78,7 +78,10 @@ def test_failed_verification_withholds_key():
     ba = derive_bundle(SK, SID, FPR_A, FPR_B, Role.INITIATOR)
     ok, key = ba.verify_peer_tag(b"\x00" * 32)
     assert not ok and key is None
-    assert ba.accepted is False
+    # latched shut: not even the right tag releases K afterwards
+    bb = derive_bundle(SK, SID, FPR_A, FPR_B, Role.RESPONDER)
+    with pytest.raises(StateError):
+        ba.verify_peer_tag(bb.tau_self)
 
 
 def _full_run(toy, pw_a, pw_b, fpr_b_view_a=FPR_B, fpr_a_view_b=FPR_A,

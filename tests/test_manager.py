@@ -1,6 +1,9 @@
+import dataclasses
 import logging
 import sys
 import threading
+import typing
+import zlib
 from collections import deque
 
 import oracles
@@ -10,6 +13,7 @@ from pakemail import manager, sealed
 from pakemail.confirm import Fingerprint
 from pakemail.exchange import Exchange
 from pakemail.manager import (
+    KEYSTORE_HEADER,
     AttemptPolicy,
     AuthResult,
     ExchangeRecord,
@@ -18,6 +22,7 @@ from pakemail.manager import (
     ManagerError,
     NoChainError,
     Outcome,
+    PeerRecord,
     SessionManager,
     assign_role,
 )
@@ -255,6 +260,109 @@ def test_record_exchange_leaves_the_history_unparsed(tmp_path, monkeypatch):
     ks.record_exchange(_exchange(3))
     monkeypatch.undo()
     assert Keystore(path).exchanges == [_exchange(n) for n in range(4)]
+
+
+# a fixed keystore's journal, byte for byte: header, self, seal, a peer with
+# every field set, a peer with every field at its default, an exchange, seal
+KNOWN_JOURNAL = b"\n".join([
+    b'pakemail-keystore v2',
+    b'89f14e66 self {"identity": "614078", "fingerprint": '
+    b'"000102030405060708090a0b0c0d0e0f10111213"}',
+    b'83f27baa seal 71530fb8',
+    b'3462ecc7 peer 624078 {"fingerprint": "6465666768696a6b6c6d6e6f7071727374757677", '
+    b'"authenticated": true, "chained_key": '
+    b'"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", '
+    b'"failed_attempts": 2}',
+    b'56b6bb77 peer 634078 {"fingerprint": null, "authenticated": false, '
+    b'"chained_key": null, "failed_attempts": 0}',
+    b'10bfd79f exchange {"exchange_id": "00000000000000000000000000000001", '
+    b'"peer": "624078", "role": "initiator", "outcome": "success", '
+    b'"started_at": 1700000001.0, "ended_at": 1700000001.25}',
+    b'57a1bc77 seal fa28a003',
+]) + b"\n"
+
+
+def test_keystore_journal_known_answer(tmp_path, monkeypatch):
+    monkeypatch.setattr(manager.secrets, "token_bytes", lambda n: bytes(range(n)))
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    full = ks.peer(IDB)
+    full.fingerprint = Fingerprint(bytes(range(100, 120)))
+    full.authenticated, full.chained_key, full.failed_attempts = True, bytes(range(32)), 2
+    ks.peer(b"c@x")
+    ks.record_exchange(_exchange(1))
+    assert path.read_bytes() == KNOWN_JOURNAL
+    copy = tmp_path / "copy.ks"
+    copy.write_bytes(KNOWN_JOURNAL)
+    back = Keystore(copy)
+    assert (back.self_identity, back.self_fingerprint) == (IDA, Fingerprint(bytes(range(20))))
+    assert back.peers == ks.peers
+    assert back.exchanges == [_exchange(1)]
+
+
+# a value unlike the default for each declared field type; a field of a new
+# type needs an entry here
+_SAMPLES = {bool: True, int: 5, float: 1.5, bytes: bytes(range(32)),
+            Fingerprint: Fingerprint(bytes(range(20))), Role: Role.RESPONDER,
+            Outcome: Outcome.PASSWORD_MISMATCH}
+
+
+def _sample(cls, name):
+    kind = typing.get_type_hints(cls)[name]
+    return _SAMPLES[next(k for k in typing.get_args(kind) or (kind,) if k is not type(None))]
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PeerRecord)
+                                  if f.name != "identity"])  # the key, in the record's tag
+def test_keystore_saves_a_change_to_any_one_peer_field(tmp_path, name):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.peer(IDB)
+    ks.save()
+    before = len(_records(path))
+    value = _sample(PeerRecord, name)
+    assert getattr(ks.peer(IDB), name) != value
+    setattr(ks.peer(IDB), name, value)
+    ks.save()
+    assert [line[9:14] for line in _records(path)[before:]] == [b"peer ", b"seal "]
+    assert getattr(Keystore(path).peers[IDB], name) == value
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ExchangeRecord)])
+def test_keystore_round_trips_any_exchange_field(tmp_path, name):
+    record = dataclasses.replace(_exchange(1), **{name: _sample(ExchangeRecord, name)})
+    assert record != _exchange(1)
+    path = tmp_path / "s.ks"
+    Keystore(path, IDA).record_exchange(record)
+    assert Keystore(path).exchanges == [record]
+
+
+def _journal(*records: bytes) -> bytes:
+    """A journal of hand-written records, each behind its checksum, no seal."""
+    return b"\n".join([KEYSTORE_HEADER.encode()] + [
+        b"%08x %s" % (zlib.crc32(b" " + record), record) for record in records]) + b"\n"
+
+
+_SELF = b'self {"identity": "614078", "fingerprint": "%s"}' % (b"00" * 20)
+
+
+def test_keystore_a_missing_key_takes_the_field_default(tmp_path):
+    path = tmp_path / "s.ks"
+    path.write_bytes(_journal(_SELF, b'peer 624078 {"fingerprint": null, '
+                                     b'"authenticated": true, "chained_key": null}'))
+    record = Keystore(path).peers[IDB]
+    assert record.authenticated is True
+    assert record.failed_attempts == 0
+
+
+def test_keystore_refuses_an_exchange_without_an_outcome(tmp_path):
+    path = tmp_path / "s.ks"
+    path.write_bytes(_journal(_SELF, b'exchange {"exchange_id": "%s", "peer": "624078", '
+                                     b'"role": "initiator", "started_at": 1.0, '
+                                     b'"ended_at": 2.0}' % (b"00" * 16)))
+    ks = Keystore(path)  # the history is parsed when first read
+    with pytest.raises(ManagerError, match="line 3 is malformed"):
+        ks.exchanges
 
 
 # ---------------------------------------------------------------------------
