@@ -40,6 +40,8 @@ class Group:
     0 <= e < order, ``_to_bytes(a)``, ``_from_bytes(data)`` for a correctly
     sized encoding (raising DecodeError on anything else), and
     ``_hash_to_element(label)``, an element nobody knows the discrete log of.
+    ``_exp2(a, e, b, f)``, a^e * b^f, composes ``_exp`` and ``_op`` unless
+    the instantiation computes both terms in one pass.
     """
 
     name: str
@@ -63,8 +65,15 @@ class Group:
     def div(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self._op(a, self._inv(b))
 
-    def exp(self, base: GroupElement, e: int) -> GroupElement:
-        return self._exp(base, e % self.order)
+    def exp(self, base: GroupElement, e: int,
+            base2: GroupElement = None, e2: int = 0) -> GroupElement:
+        """base^e, times base2^e2 when a second base is given."""
+        if base2 is None:
+            return self._exp(base, e % self.order)
+        return self._exp2(base, e % self.order, base2, e2 % self.order)
+
+    def _exp2(self, a: GroupElement, e: int, b: GroupElement, f: int) -> GroupElement:
+        return self._op(self._exp(a, e), self._exp(b, f))
 
     def encode(self, el: GroupElement) -> bytes:
         return self._to_bytes(el)
@@ -158,6 +167,15 @@ class ToyGroup(Group):
 # and additions: the scalar is made odd and recoded into digits that are
 # never zero. (An addition whose two inputs meet becomes a doubling or
 # infinity; a random scalar leads there with negligible probability.)
+#
+# A two-term exp a^e * b^f shares one chain of doublings between its terms
+# (Straus/Shamir interleaving) and converts to affine once:
+# - two fixed bases, as in a share g^x * M^pi: 32 doublings, 65 additions;
+# - a fixed base and any other point, as in K = N^(-pi*x) * (Y*)^x:
+#   125 doublings and 84 additions, after 1 doubling and 15 additions
+#   for a table of the point's odd multiples;
+# - one fixed base: 32 doublings, 32 additions; one other point: 125
+#   doublings, 51 additions, after its table.
 # ---------------------------------------------------------------------------
 
 _P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -171,8 +189,8 @@ _Affine = Optional[Tuple[int, int]]  # None is the point at infinity
 # apart. Every bit of the recoded scalar stands for +1 or -1, so each of
 # the _SPACING columns selects one of 2**_TEETH signed sums from the table.
 # _TEETH * _SPACING must cover the 257 bits of a scalar plus the order.
-_TEETH = 6
-_SPACING = 43
+_TEETH = 8
+_SPACING = 33
 
 # Other bases: (x, y) -> (_BETA * x, y) multiplies by a cube root of unity
 # lambda mod _N, and k = k1 + k2 * lambda splits k into two odd halves below
@@ -254,21 +272,52 @@ def _comb_table(B: _Affine) -> list:
         teeth.append(R)
     teeth = _ec_batch_to_affine(teeth)
     # the upper half has the top tooth at +1; the lower half negates it
-    upper = [(*teeth[-1], 1)]
+    upper = [teeth[-1]]
     for T in teeth[:-1]:
-        upper = [_ec_jadd(S, _ec_neg(T)) for S in upper] + [_ec_jadd(S, T) for S in upper]
-    upper = _ec_batch_to_affine(upper)
+        upper = _ec_minus_plus(upper, T)
     return [_ec_neg(T) for T in reversed(upper)] + upper
 
 
-def _comb_mul(table: list, k: int) -> _Affine:
-    """k * B from B's comb table, for 0 <= k < _N."""
+def _ec_minus_plus(points: list, T: _Affine) -> list:
+    """[S - T for S in points] + [S + T for S in points] in affine form, with
+    one field inversion: S - T and S + T share the denominator x_S - x_T.
+    No S may be T or -T."""
+    xT, yT = T
+    dx = [x - xT for x, _ in points]
+    prefix = [1]
+    for d in dx:
+        prefix.append(prefix[-1] * d % _P)
+    inv = pow(prefix[-1], -1, _P)
+    minus, plus = [None] * len(points), [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        x, y = points[i]
+        dinv = inv * prefix[i] % _P
+        inv = inv * dx[i] % _P
+        m = (y + yT) * dinv % _P
+        p = (y - yT) * dinv % _P
+        xm = (m * m - x - xT) % _P
+        xp = (p * p - x - xT) % _P
+        minus[i] = (xm, (m * (x - xm) - y) % _P)
+        plus[i] = (xp, (p * (x - xp) - y) % _P)
+    return minus + plus
+
+
+def _comb_columns(k: int) -> list:
+    """The table index of each comb column of 0 <= k < _N, most significant first."""
     k += _N * (~k & 1)
     bits = format((k + (1 << (_TEETH * _SPACING)) - 1) >> 1, f"0{_TEETH * _SPACING}b")
-    # bits[c::_SPACING] reads column c (the most significant first), top tooth first
-    R = (*table[int(bits[0::_SPACING], 2)], 1)
-    for c in range(1, _SPACING):
-        R = _ec_jadd(_ec_jdbl(R), table[int(bits[c::_SPACING], 2)])
+    # bits[c::_SPACING] reads column c, top tooth first
+    return [int(bits[c::_SPACING], 2) for c in range(_SPACING)]
+
+
+def _comb_mul(terms) -> _Affine:
+    """The sum of k * B over (B's comb table, k) terms, on one chain of doublings."""
+    columns = [(table, _comb_columns(k)) for table, k in terms]
+    R = None
+    for c in range(_SPACING):
+        R = _ec_jdbl(R)
+        for table, column in columns:
+            R = _ec_jadd(R, table[column[c]])
     return _ec_to_affine(R)
 
 
@@ -284,10 +333,12 @@ def _glv_split(k: int) -> tuple:
     return k1 + f1 * _A1 + f2 * _A2, k2 + f1 * _B1 + f2 * _A1
 
 
-def _window_mul(P: _Affine, k: int) -> _Affine:
-    """k * P for any P and 0 <= k < _N, over tables built for this call."""
-    if P is None:
-        return None
+def _window_mul(P: _Affine, k: int, comb=None) -> _Affine:
+    """k * P for a finite P and 0 <= k < _N, over tables built for this call.
+
+    With ``comb`` = (B's comb table, k'), k' * B is added on the same chain
+    of doublings.
+    """
     half, mask = 1 << (_WINDOW - 1), (2 << _WINDOW) - 1
     D = _ec_to_affine(_ec_jdbl((*P, 1)))
     odd = [(*P, 1)]
@@ -303,10 +354,16 @@ def _window_mul(P: _Affine, k: int) -> _Affine:
     for _ in range(_DIGITS - 1):
         digits.append(((k1 & mask) >> 1, (k2 & mask) >> 1))
         k1, k2 = ((k1 >> (_WINDOW + 1)) << 1) | 1, ((k2 >> (_WINDOW + 1)) << 1) | 1
+    # comb column c weighs 2**(_SPACING - 1 - c): it goes in when that many doublings remain
+    late = [] if comb is None else [comb[0][j] for j in _comb_columns(comb[1])]
+    left = _WINDOW * (_DIGITS - 1)
     R = _ec_jadd((*table[half + (k1 >> 1)], 1), endo[half + (k2 >> 1)])
     for j1, j2 in reversed(digits):
         for _ in range(_WINDOW):
             R = _ec_jdbl(R)
+            left -= 1
+            if left < len(late):
+                R = _ec_jadd(R, late[-1 - left])
         R = _ec_jadd(_ec_jadd(R, table[j1]), endo[j2])
     return _ec_to_affine(R)
 
@@ -335,10 +392,23 @@ class Secp256k1Group(Group):
     _inv = staticmethod(_ec_neg)
 
     def _exp(self, base: _Affine, e: int) -> _Affine:
-        table = self._combs.get(base)
-        if table is None and base in (self.generator, self.M, self.N):
-            table = self._combs[base] = _comb_table(base)
-        return _window_mul(base, e) if table is None else _comb_mul(table, e)
+        return self._exp2(base, e, None, 0)
+
+    def _exp2(self, a: _Affine, e: int, b: _Affine, f: int) -> _Affine:
+        combs, points = [], []
+        for base, k in ((a, e), (b, f)):
+            if base is None:
+                continue  # a power of infinity adds nothing
+            table = self._combs.get(base)
+            if table is None and base in (self.generator, self.M, self.N):
+                table = self._combs[base] = _comb_table(base)
+            if table is None:
+                points.append((base, k))
+            else:
+                combs.append((table, k))
+        if len(points) == 2:
+            return _ec_add(_window_mul(*points[0]), _window_mul(*points[1]))
+        return _window_mul(*points[0], *combs) if points else _comb_mul(combs)
 
     def _to_bytes(self, a: _Affine) -> bytes:
         return self._INFINITY if a is None else bytes([2 + (a[1] & 1)]) + a[0].to_bytes(32, "big")

@@ -74,16 +74,22 @@ class PakeSession:
                 f"peer_id={self.peer_id!r})")
 
     def start(self) -> bytes:
-        """Produce the outbound blinded term X* (initiator) or Y* (responder)."""
+        """Produce the outbound blinded term X* = M^pi * g^x (initiator) or
+        Y* = N^pi * g^y (responder), as one two-term exponentiation."""
         if self._share is not None:
             raise StateError("start() has already run")
         g = self.group
         blind = self.role.order(g.M, g.N)[0]
-        self._share = g.encode(g.mul(g.exp(g.generator, self._x), g.exp(blind, self._pi)))
+        self._share = g.encode(g.exp(blind, self._pi, g.generator, self._x))
         return self._share
 
     def finish(self, inbound_message: bytes) -> bytes:
-        """Consume the peer's blinded term and derive the session key sk."""
+        """Consume the peer's blinded term and derive the session key sk.
+
+        The initiator computes K = N^(-pi*x) * (Y*)^x, which is (Y* / N^pi)^x,
+        as one two-term exponentiation; the responder likewise
+        K = M^(-pi*y) * (X*)^y.
+        """
         if self._share is None or self._transcript is not None:
             raise StateError("finish() runs once, after start()")
         self._transcript = b""
@@ -97,7 +103,7 @@ class PakeSession:
         shares = self.role.order(self._share, bytes(inbound_message))
         self._transcript = wire.pack([*self.role.order(self.self_id, self.peer_id), *shares])
         peer_blind = self.role.order(g.M, g.N)[1]
-        K = g.exp(g.div(inbound, g.exp(peer_blind, self._pi)), self._x)
+        K = g.exp(peer_blind, -self._pi * self._x, inbound, self._x)
         h = hashlib.sha256(self._transcript)
         h.update(wire.pack([g.scalar_bytes(self._pi), g.encode(K)]))
         return h.digest()

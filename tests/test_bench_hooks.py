@@ -49,28 +49,39 @@ def test_tracer_installs_and_restores_every_hook():
             (relay._RelayHandler, "handle"), (confirm, "derive_bundle")} <= patched
 
 
-def test_tracer_records_the_protocol_spans(tmp_path, toy):
+def _handshake(tmp_path, group) -> list:
+    backend = transport.LoopbackTransport()
+    ma, mb = (manager.SessionManager(
+        manager.Keystore(tmp_path / f"{group.name}-{name.decode()}.ks", name), backend, group)
+        for name in (b"a@x", b"b@x"))
+    results = []
+    responder = threading.Thread(
+        target=lambda: results.append(mb.authenticate(b"a@x", b"pw", timeout=5.0)))
+    responder.start()
+    results.append(ma.authenticate(b"b@x", b"pw", timeout=5.0))
+    responder.join(10.0)
+    assert not responder.is_alive()
+    return [r.outcome for r in results]
+
+
+def test_tracer_records_the_protocol_spans(tmp_path, toy, production):
     # the tracer patches module attributes: code that imported a patched
     # function by name would run unrecorded and its figures would read 0
     spans = _load_spans()
     recorder = spans.Recorder()
     spans.install(recorder, pakemail)
     try:
-        backend = transport.LoopbackTransport()
-        ma, mb = (manager.SessionManager(manager.Keystore(tmp_path / f"{name}.ks", name),
-                                         backend, toy) for name in (b"a@x", b"b@x"))
-        results = []
-        responder = threading.Thread(
-            target=lambda: results.append(mb.authenticate(b"a@x", b"pw", timeout=5.0)))
-        responder.start()
-        results.append(ma.authenticate(b"b@x", b"pw", timeout=5.0))
-        responder.join(10.0)
+        outcomes = _handshake(tmp_path, toy)
         for strategy in harness.Strategy:
             harness.adversary_harness([b"pw0", b"pw1"], strategy, trials=2, seed=1)
+        toy_samples = len(recorder.hamming)
+        outcomes += _handshake(tmp_path, production)
     finally:
         recorder.uninstall()
-    assert not responder.is_alive()
-    assert [r.outcome for r in results] == [manager.Outcome.SUCCESS] * 2
+    assert outcomes == [manager.Outcome.SUCCESS] * 4
     assert {"pake.start", "pake.finish", "confirm.bundle", "confirm.verify",
             "manager.authenticate", "harness.passive", "harness.active",
-            "harness.abort"} <= set(recorder.total)
+            "harness.abort", "groups.exp_fixed"} <= set(recorder.total)
+    # the pi timing probe samples exponentiations led by M or N: on
+    # secp256k1 too, or groups.exp.us_per_hamming_bit goes silent
+    assert len(recorder.hamming) > toy_samples

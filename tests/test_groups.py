@@ -175,15 +175,68 @@ def test_production_mul_div_match_affine_oracle(production):
     assert g.mul(P, P) == g.exp(P, 2)
 
 
+def test_toy_two_term_exp_exhaustive(toy):
+    """Every share and every K the toy group can compute, by the pencil formulas."""
+    p = oracles.TOY_MOD
+    for x in range(toy.order):
+        for pi in range(toy.order):
+            for initiator in (True, False):
+                blind = toy.M if initiator else toy.N
+                assert (toy.encode(toy.exp(blind, pi, toy.generator, x))[0]
+                        == oracles.toy_outbound(x, pi, initiator))
+            for share in oracles.TOY_MEMBERS:
+                inbound = toy.decode(bytes([share]))
+                for peer_blind, value in ((toy.N, oracles.TOY_N), (toy.M, oracles.TOY_M)):
+                    K = pow(share * pow(value, -pi, p) % p, x, p)
+                    assert toy.encode(toy.exp(peer_blind, -pi * x, inbound, x))[0] == K
+
+
+def test_production_two_term_exp_matches_affine_oracle(production):
+    """a^e * b^f for two comb bases, a comb base and a decoded point (either
+    way round) and two decoded points, over edge and random scalars."""
+    g, n = production, production.order
+    P, Q = (g.decode(oracles.secp_encode(oracles.secp_mul(secrets.randbelow(n), oracles.SECP_G)))
+            for _ in range(2))
+    scalars = [0, 1, 2, n - 1, n - 2, n // 2, 2**255] + [secrets.randbelow(n) for _ in range(2)]
+    powers = {(base, k): oracles.secp_mul(k, _oracle_point(g, base))
+              for base in (g.generator, g.M, g.N, P, Q) for k in scalars}
+    for a, b in ((g.M, g.generator), (g.N, g.generator), (g.N, P), (P, g.M), (P, Q)):
+        for e in scalars:
+            for f in scalars:
+                want = oracles.secp_add(powers[a, e], powers[b, f])
+                assert g.encode(g.exp(a, e, b, f)) == oracles.secp_encode(want), (a, b, e, f)
+
+
+def test_production_two_term_exp_edge_results(production):
+    g, n = production, production.order
+    k, x = secrets.randbelow(n), secrets.randbelow(n)
+    pi = secrets.randbelow(n - 1) + 1
+    P = g.decode(g.encode(g.exp(g.generator, secrets.randbelow(n))))
+    infinity = oracles.secp_encode(None)
+    # a second term that cancels the first
+    for a, b in ((g.M, g.M), (P, P)):
+        assert g.encode(g.exp(a, k, b, -k)) == infinity
+    # an inbound share equal to N^pi makes K = N^(-pi*x) * (N^pi)^x the identity
+    share = g.decode(g.encode(g.exp(g.N, pi)))
+    assert g.encode(g.exp(g.N, -pi * x, share, x)) == infinity
+    # both terms 0, and the identity as the second base
+    assert g.exp(g.M, 0, g.generator, 0) == g.exp(g.N, 0, P, 0) == g.identity
+    for base in (g.M, P):
+        assert g.exp(base, k, g.identity, x) == g.exp(base, k)
+        assert g.encode(g.exp(g.identity, x, base, k)) == g.encode(g.exp(base, k))
+
+
 def test_production_exp_schedule_independent_of_scalar(production, monkeypatch):
     """Point doublings and additions per exponentiation do not depend on the
-    scalar, for the password-blinding bases M, N and for a decoded point."""
+    scalars: for the password-blinding bases M, N, for a decoded point, and
+    for the handshake's two-term forms, a share M^pi * g^x and a key
+    K = N^(-pi*x) * P^x, with both scalars varying."""
     g = production
     P = g.decode(g.encode(g.exp(g.generator, 0x1234567)))
     scalars = [1, 2**200,                                  # Hamming weight 1, odd and even
                int("01" * 128, 2), int("10" * 128, 2),     # weight 128
                2**255 - 1, 2**256 - 2 - 2**200]            # weight 255 and 254
-    for base in (g.M, g.N):
+    for base in (g.generator, g.M, g.N):
         g.exp(base, 1)  # tables are built once per process, outside the count
     counts = Counter()
     for name in ("_ec_jdbl", "_ec_jadd"):
@@ -192,12 +245,16 @@ def test_production_exp_schedule_independent_of_scalar(production, monkeypatch):
             return _real(*args)
         monkeypatch.setattr(groups, name, counted)
 
-    def schedule(base, k):
+    def schedule(*args):
         counts.clear()
-        g.exp(base, k)
+        g.exp(*args)
         return counts["_ec_jdbl"], counts["_ec_jadd"]
 
-    for bases in ((g.M, g.N), (P,)):
-        seen = {schedule(base, k) for base in bases for k in scalars}
+    forms = ([(base, k) for base in (g.M, g.N) for k in scalars],
+             [(P, k) for k in scalars],
+             [(blind, e, g.generator, f) for blind in (g.M, g.N) for e in scalars for f in scalars],
+             [(blind, e, P, f) for blind in (g.M, g.N) for e in scalars for f in scalars])
+    for calls in forms:
+        seen = {schedule(*args) for args in calls}
         assert len(seen) == 1, seen
         assert min(seen.pop()) > 0

@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import random
 import sys
 import threading
 import typing
@@ -27,12 +28,14 @@ from pakemail.manager import (
     assign_role,
 )
 from pakemail.pake import Role, password_context
+from pakemail.relay import MailboxStore, RelayServer
 from pakemail.transport import (
     FLOW_DATA,
     FLOW_INITIATOR_PAKE,
     FLOW_INITIATOR_TAG,
     FLOW_RESPONDER_PAKE,
     LoopbackTransport,
+    RelayTransport,
     TransportEnvelope,
     fresh_exchange_id,
 )
@@ -816,3 +819,64 @@ def test_in_pi_binding_succeeds_with_exchanged_fingerprints(tmp_path, toy):
     ra, rb = run_both(ma, mb, b"pw", b"pw", binding="pi")
     assert ra.outcome is Outcome.SUCCESS and rb.outcome is Outcome.SUCCESS
     assert ra.key == rb.key
+
+
+# ---------------------------------------------------------------------------
+# Renewals between sealed bursts over the relay
+# ---------------------------------------------------------------------------
+
+def _on_both_sides(side_a, side_b):
+    results = {}
+    thread = threading.Thread(target=lambda: results.update(b=side_b()))
+    thread.start()
+    try:
+        results["a"] = side_a()
+    finally:
+        thread.join(15.0)
+    assert not thread.is_alive()
+    return results["a"], results["b"]
+
+
+def test_chained_renewals_between_sealed_bursts_over_the_relay(tmp_path, production):
+    """Two pairs on one logged relay with the production group: each renewal
+    succeeds on both sides and rotates the stored key, and each sealed
+    message sent after it opens once, at its addressee."""
+    rng = random.Random(23)
+    with RelayServer(store=MailboxStore(tmp_path / "relay.log")) as srv:
+        pairs = []
+        for i in range(2):
+            ma, mb = (SessionManager(Keystore(tmp_path / f"{i}{side}.ks", f"r{i}{side}@x".encode()),
+                                     RelayTransport(*srv.address), production)
+                      for side in "ab")
+            ra, rb = _on_both_sides(lambda: ma.authenticate(mb.identity, b"pw", timeout=5.0),
+                                    lambda: mb.authenticate(ma.identity, b"pw", timeout=5.0))
+            assert ra.outcome is rb.outcome is Outcome.SUCCESS
+            pairs.append((ma, mb))
+        try:
+            for _ in range(10):
+                for ma, mb in pairs:
+                    old = ma.keystore.peer(mb.identity).chained_key
+                    ra, rb = _on_both_sides(
+                        lambda: ma.reauthenticate_chained(mb.identity, timeout=5.0),
+                        lambda: mb.reauthenticate_chained(ma.identity, timeout=5.0))
+                    assert ra.outcome is rb.outcome is Outcome.SUCCESS
+                    assert ra.key == rb.key != old
+                    assert (ma.keystore.peer(mb.identity).chained_key == ra.key
+                            == mb.keystore.peer(ma.identity).chained_key)
+
+                    sender, receiver = (ma, mb) if rng.random() < 0.5 else (mb, ma)
+                    sent = [rng.randbytes(int(64 * 1024 ** rng.random())) for _ in range(16)]
+                    for plaintext in sent:
+                        sender.send_sealed(receiver.identity, plaintext)
+                    got = []
+                    while len(got) < len(sent):
+                        batch = receiver.recv_sealed(timeout=5.0)
+                        assert batch, "a sealed message did not arrive"
+                        got += batch
+                    assert sorted(got) == sorted((sender.identity, p) for p in sent)
+                    assert sender.recv_sealed(timeout=0.0) == []
+            for ma, mb in pairs:
+                assert ma.recv_sealed(timeout=0.05) == mb.recv_sealed(timeout=0.0) == []
+        finally:
+            for manager in (m for pair in pairs for m in pair):
+                manager.backend.close()
