@@ -79,8 +79,7 @@ class Wordlist:
     @classmethod
     def from_file(cls, path) -> "Wordlist":
         """UTF-8 file, one word per line, exactly 65536 lines."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        return cls(Path(path).read_text(encoding="utf-8").splitlines())
 
 
 def trustwords(fpr_self, fpr_peer, wordlist: Wordlist, count: int = 5) -> list[str]:
@@ -141,25 +140,21 @@ def q_no_preimage(params: AttackParams) -> Fraction:
 def _ln_q(params: AttackParams) -> float:
     # 1 - q is exact as a Fraction; log1p avoids cancellation when it is
     # far below float epsilon relative to 1.
-    delta = 1 - q_no_preimage(params)
-    return math.log1p(-float(delta))
+    return math.log1p(-float(1 - q_no_preimage(params)))
 
 
 def effort(params: AttackParams) -> float:
     """log2 of the expected attempts e = log_q(1 - p)."""
     if params.t <= 0:
         raise NoFlippableBitsError("no flippable bits: every middle bit is checked")
-    e = math.log1p(-params.p) / _ln_q(params)
-    return math.log2(e)
+    return math.log2(math.log1p(-params.p) / _ln_q(params))
 
 
 def success_prob(params: AttackParams, attempts: int) -> float:
     """p = 1 - q^attempts for a given number of brute-force attempts."""
     if attempts < 0:
         raise AnalysisError("attempts must be nonnegative")
-    if attempts == 0:
-        return 0.0
-    if params.t <= 0:
+    if attempts == 0 or params.t <= 0:
         return 0.0
     return -math.expm1(attempts * _ln_q(params))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import getpass
 import os
+import sqlite3
 import sys
 import typing
 from contextlib import contextmanager
@@ -68,7 +69,7 @@ _FAILURES = (
     (TransportError, "FAILURE: transport: {}", False, EXIT_TRANSPORT),
     (analysis.NoFlippableBitsError, "no attack surface: {}", False, EXIT_NO_ATTACK_SURFACE),
     (analysis.AnalysisError, "invalid parameters: {}", False, EXIT_ERROR),
-    ((ValueError, OSError), "error: {}", True, EXIT_ERROR),
+    ((ValueError, OSError, sqlite3.Error), "error: {}", True, EXIT_ERROR),
 )
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
@@ -361,14 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "identity": args.identity,
-        "keystore": args.keystore,
-        "transport": args.transport,
-        "group": args.group,
-        "timeout": args.timeout,
-        "insecure_toy_group": args.insecure_toy_group,
-    }
+    overrides = {key: getattr(args, key) for key in (
+        "identity", "keystore", "transport", "group", "timeout", "insecure_toy_group")}
     try:
         return args.func(args, ClientConfig.load(args.config, overrides))
     except Exception as exc:

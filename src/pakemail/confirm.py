@@ -13,6 +13,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 
+from cryptography.hazmat.primitives.hashes import SHA256
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
 from . import wire
 from .pake import Role, StateError
 
@@ -46,16 +49,8 @@ class Fingerprint:
 
 
 def _hkdf_96(sk: bytes) -> bytes:
-    """HKDF-SHA256 extract-then-expand, 96 bytes out."""
-    prk = hmac.new(b"\x00" * 32, sk, hashlib.sha256).digest()
-    out = b""
-    block = b""
-    counter = 1
-    while len(out) < 96:
-        block = hmac.new(prk, block + KDF_INFO + bytes([counter]), hashlib.sha256).digest()
-        out += block
-        counter += 1
-    return out[:96]
+    """HKDF-SHA256 (RFC 5869) with no salt, 96 bytes out."""
+    return HKDF(SHA256(), length=96, salt=None, info=KDF_INFO).derive(sk)
 
 
 def _tag_message(fpr_a: Fingerprint, fpr_b: Fingerprint, sid: bytes) -> bytes:

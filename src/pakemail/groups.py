@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import secrets
 from typing import Optional, Tuple, Union
 
@@ -150,13 +151,11 @@ class ToyGroup(Group):
     def _hash_to_element(self, label: bytes) -> int:
         # Try-and-increment over subgroup members; dlogs are brute-forceable
         # here anyway, this group exists only for testing.
-        counter = 0
-        while True:
+        for counter in itertools.count():
             h = hashlib.sha256(label + counter.to_bytes(4, "big")).digest()
             candidate = h[0] % self.modulus
             if candidate in self._members and candidate != 1:
                 return candidate
-            counter += 1
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +429,12 @@ class Secp256k1Group(Group):
     def _hash_to_element(self, label: bytes) -> _Affine:
         # Try-and-increment on the x coordinate; nobody knows the discrete
         # log of the resulting point.
-        counter = 0
-        while True:
+        for counter in itertools.count():
             h = hashlib.sha256(label + counter.to_bytes(4, "big")).digest()
             x = int.from_bytes(h, "big")
             y = _lift_x(x) if x < _P else None
             if y is not None:
                 return (x, min(y, _P - y))
-            counter += 1
 
 
 def _lift_x(x: int) -> Optional[int]:
@@ -447,17 +444,15 @@ def _lift_x(x: int) -> Optional[int]:
     return y if y * y % _P == y2 else None
 
 
+_GROUPS = {"secp256k1": Secp256k1Group, "toy-z23": ToyGroup}
 _REGISTRY = {}
 
 
 def get_group(name: str) -> Group:
     """Shared group instances by name ('production'/'secp256k1' or 'toy')."""
     key = {"production": "secp256k1", "toy": "toy-z23"}.get(name, name)
+    if key not in _GROUPS:
+        raise ValueError(f"unknown group {name!r}")
     if key not in _REGISTRY:
-        if key == "secp256k1":
-            _REGISTRY[key] = Secp256k1Group()
-        elif key == "toy-z23":
-            _REGISTRY[key] = ToyGroup()
-        else:
-            raise ValueError(f"unknown group {name!r}")
+        _REGISTRY[key] = _GROUPS[key]()
     return _REGISTRY[key]

@@ -12,15 +12,17 @@ history as a timeout, not nothing.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
 import os
 import secrets
-import tempfile
+import sqlite3
 import threading
 import time
 import typing
+import weakref
 import zlib
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -40,7 +42,14 @@ from .transport import (
     fresh_exchange_id,
 )
 
-KEYSTORE_HEADER = "pakemail-keystore v2"
+# the keystore's PRAGMA application_id ("pkml") and user_version (format v3;
+# v1 and v2 were text files), and the tables a new one is given
+_STORE_ID = (0x706B6D6C, 3)
+_SCHEMA = ("CREATE TABLE self (record BLOB NOT NULL)",
+           "CREATE TABLE peers (identity BLOB PRIMARY KEY, record BLOB NOT NULL)",
+           "CREATE TABLE exchanges (record BLOB NOT NULL)",
+           "PRAGMA application_id = %d" % _STORE_ID[0],
+           "PRAGMA user_version = %d" % _STORE_ID[1])
 # the longest single blocking poll: a thread serving another peer may have
 # filed this thread's envelope, and would not wake it
 POLL_INTERVAL = 0.005
@@ -108,34 +117,13 @@ class AuthResult:
 # ---------------------------------------------------------------------------
 
 def _checksummed(body: bytes) -> bytes:
-    """``body`` behind 8 hex digits: the CRC-32 of the rest of the line."""
+    """``body`` behind 8 hex digits: the CRC-32 of the rest of the record."""
     rest = b" " + body
     return b"%08x" % zlib.crc32(rest) + rest
 
 
 def _intact(line: bytes) -> bool:
     return line[:8] == b"%08x" % zlib.crc32(line[8:])
-
-
-def _seal(crc: int) -> bytes:
-    """A seal record: ``crc`` is the CRC-32 of every byte of the file before it."""
-    return _checksummed(b"seal %08x" % crc) + b"\n"
-
-
-def _sealed(data: bytes, lines: list[bytes], end: int) -> tuple[int, int, int]:
-    """(n, offset, crc) for the newest seal among ``lines``, which end at ``end``.
-
-    If it is intact and matches, the first n lines are intact too and the
-    CRC-32 of ``data[:offset]`` is ``crc``; otherwise (0, 0, 0).
-    """
-    for n in range(len(lines) - 1, -1, -1):
-        end -= len(lines[n]) + 1
-        if lines[n][9:14] == b"seal ":
-            crc = zlib.crc32(memoryview(data)[:end])
-            if _intact(lines[n]) and lines[n][14:22] == b"%08x" % crc:
-                return n, end, crc
-            break
-    return 0, 0, 0
 
 
 # (to JSON, from JSON) by declared type; None and other types stay as they are
@@ -145,7 +133,7 @@ _CONVERTERS = {bytes: (bytes.hex, bytes.fromhex),
 
 
 def _converters(cls) -> list[tuple]:
-    """(name, to JSON, from JSON) for each journal field of ``cls``, in order."""
+    """(name, to JSON, from JSON) for each stored field of ``cls``, in order."""
     kinds = {name: (typing.get_args(kind) or (kind,))[0]  # X | None converts as X
              for name, kind in typing.get_type_hints(cls).items()}
     return [(f.name, *_CONVERTERS.get(kinds[f.name], (None, None)))
@@ -160,80 +148,57 @@ def _convert(value, convert):
 
 
 def _line(prefix: str, record) -> bytes:
-    """One journal record, ``<checksum> <prefix> <JSON>``, without its newline."""
+    """One stored record, ``<checksum> <prefix> <JSON>``."""
     obj = {name: _convert(getattr(record, name), encode)
            for name, encode, _ in _FIELDS[type(record)]}
     return _checksummed(f"{prefix} {json.dumps(obj)}".encode())
 
 
-def _record(cls, payload: bytes, *tagged):
-    """``cls`` from its ``tagged`` leading fields and JSON; a missing key takes its default."""
-    obj = json.loads(payload)
+def _record(cls, line: bytes, prefix: str, *tagged):
+    """``cls`` from ``tagged`` and the JSON after ``prefix``; a missing key takes its default."""
+    head = f" {prefix} ".encode()
+    if line[8:8 + len(head)] != head:
+        raise ValueError(f"not a {prefix.split()[0]} record")
+    obj = json.loads(line[8 + len(head):])
     return cls(*tagged, **{name: _convert(obj[name], decode)
                             for name, _, decode in _FIELDS[cls] if name in obj})
 
 
-def _peer_line(record: PeerRecord) -> bytes:
-    return _line(f"peer {record.identity.hex()}", record)
-
-
-# an exchange record starts with its checksum, then _EXCHANGE
-_TAG, _EXCHANGE = slice(9, 18), b"exchange "
-
-
 def _parse_exchange(line: bytes) -> ExchangeRecord:
-    return _record(ExchangeRecord, line[_TAG.stop:])
-
-
-def _fsync_dir(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+    return _record(ExchangeRecord, line, "exchange")
 
 
 class Keystore:
-    """Single-file persistent store: an append-only, checksummed journal.
+    """Single-file persistent store: one SQLite database in WAL mode.
 
-    Format ``pakemail-keystore v2``: a header line, then one record per
-    line, ``<checksum> <tag> ...``. The checksum is 8 hex digits, the
-    CRC-32 of the rest of the line. Records:
+    Format ``pakemail-keystore v3``: ``PRAGMA application_id`` and
+    ``user_version`` are :data:`_STORE_ID`; tables ``self`` (one row),
+    ``peers`` (keyed by identity) and ``exchanges`` (in insertion order).
+    Each row's ``record`` is one line, ``<checksum> <tag> <JSON>``: 8 hex
+    digits of CRC-32 over the rest of the line, then ``self``, ``peer
+    <identity hex>`` or ``exchange``, then one JSON key per dataclass field
+    in declaration order (bytes and fingerprints in hex, enums by value; a
+    missing key takes its default). A row that fails its checksum, or whose
+    tag does not match its table and key, is refused with ManagerError.
 
-    * ``self <JSON>``: own identity and fingerprint;
-    * ``peer <identity> <JSON>``: one peer's state; the newest record per
-      identity wins, and only that one is parsed;
-    * ``exchange <JSON>``: one history entry, oldest first;
-    * ``seal <crc>``: ``crc`` is the CRC-32 of every byte before the seal.
+    Opening reads the self and peer rows only; :attr:`exchanges` reads the
+    history when first accessed. ``save()`` is one transaction that upserts
+    the peers changed since their last save and inserts the exchanges added
+    since, to :attr:`exchanges` or by :meth:`record_exchange` (which keeps
+    none in memory while the history is unread); with no change it writes
+    nothing. Into a peer's stored row it writes only the fields this handle
+    changed, and a rise in failed attempts adds to the stored count, so
+    concurrent saves from other processes lose no charge.
 
-    Each JSON has one key per field of its dataclass, in declaration order
-    (a peer's identity is in hex in its tag); bytes and fingerprints are in
-    hex, enums by value. A missing key takes its field's default.
-
-    ``save()`` appends only what changed since the last save: peer records
-    that differ from their last saved state (mutated in place or new) and
-    exchange records added to :attr:`exchanges`, which is append-only. A
-    seal ends every append, and the append is fsynced, so its cost does
-    not depend on the length of the history. Once superseded records (old
-    peer records and seals) outnumber live ones, the next save compacts
-    instead: it writes the live records and a seal to a temporary file,
-    fsyncs it, renames it over the keystore and fsyncs the directory. A
-    new keystore is written the same way.
-
-    Loading checks the newest seal with one CRC over the bytes before it;
-    when it matches, every record before it is intact, and only the lines
-    after it are checked one by one. When it does not (a corrupt record,
-    or an append from another process in between), every line is checked.
-    Exchange records stay raw lines until :attr:`exchanges` is read.
-
-    Crash rule: an unterminated or checksum-failing *final* record is a
-    torn append. Loading drops it, and the next save cuts the file back to
-    the last good newline before appending. A checksum failure on any
-    other line raises :class:`ManagerError`; skipping a peer record there
-    could roll back its lockout counter.
-
-    One lock serializes saves, so threads sharing a keystore cannot
-    interleave appends.
+    Crash rule: SQLite's atomic commit under ``synchronous=FULL``. A save
+    returns once its commit is synced to the write-ahead log; a crash before
+    that, or a save that raises, leaves the previous state, and the next
+    save writes all that is still unsaved. Only the owner can read the file
+    and its write-ahead log. A v2 journal, or any file that is not this
+    store, is refused with ManagerError and left as it is; a v2 user runs
+    ``pakemail auth`` again. An empty database, which a crash while creating
+    a keystore leaves, is filled when opened with a self identity. One lock
+    serializes this handle's reads and saves across threads.
     """
 
     def __init__(self, path, self_identity: bytes | None = None):
@@ -242,161 +207,120 @@ class Keystore:
         self.self_fingerprint: Fingerprint | None = None
         self.peers: dict[bytes, PeerRecord] = {}
         self._lock = threading.RLock()
-        # exchange history: lines loaded from disk stay unparsed until read,
-        # then go to the front of _exchanges; the first _saved entries of
-        # _exchanges are on disk, the rest are still to be appended
-        self._unparsed: list[bytes] = []
-        self._exchanges: list[ExchangeRecord] = []
-        self._saved = 0
-        # what the file holds: last saved state per peer, superseded record
-        # count, offset just past the last good record and the CRC-32 of the
-        # bytes before it, whether a torn record follows it, whether the
-        # next save must write a fresh file
+        # last saved state per peer; the history once read, whose first
+        # _saved entries are stored; records to save while it is unread
         self._saved_peers: dict[bytes, PeerRecord] = {}
-        self._superseded = 0
-        self._end = 0
-        self._crc = 0
-        self._torn = False
-        self._rewrite = False
+        self._exchanges: list[ExchangeRecord] | None = None
+        self._saved = 0
+        self._unread: list[ExchangeRecord] = []
+        if self_identity is None and not self.path.exists():
+            raise ManagerError("new keystore needs a self identity")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(FileExistsError):  # owner-only, and so are -wal and -shm
+            os.close(os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o600))
+        self._db = sqlite3.connect(self.path, isolation_level=None, check_same_thread=False)
+        weakref.finalize(self, self._db.close)  # closed when the keystore is collected
         try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            data = None
-        if data is not None:
-            self._load(data)
-        if self.self_identity is None:
-            if self_identity is None:
-                raise ManagerError("new keystore needs a self identity")
-            # stands in for the fingerprint of the user's existing keypair
-            self.self_identity = bytes(self_identity)
-            self.self_fingerprint = Fingerprint(secrets.token_bytes(20))
-            self._rewrite = True
-            self.save()
-        elif self_identity is not None and bytes(self_identity) != self.self_identity:
+            kind = self._db.execute("SELECT * FROM pragma_application_id, "
+                                    "pragma_user_version, pragma_schema_version").fetchone()
+        except sqlite3.DatabaseError:
+            kind = None  # not an SQLite database
+        ours = kind is not None and kind[:2] == _STORE_ID
+        if not ours and (kind != (0, 0, 0) or self_identity is None):
+            raise ManagerError(f"{self.path} is not a pakemail-keystore v3 file")
+        self._db.execute("PRAGMA synchronous = FULL")
+        if ours:
+            self._load()
+        else:  # an empty database: a new keystore, or what a crash creating one left
+            self._create(bytes(self_identity))
+        if self_identity is not None and bytes(self_identity) != self.self_identity:
             raise ManagerError("keystore belongs to a different identity")
 
-    def _load(self, data: bytes) -> None:
-        header, newline, rest = data.partition(b"\n")
-        if not newline or header != KEYSTORE_HEADER.encode():
-            raise ManagerError(f"{self.path} is not a {KEYSTORE_HEADER} file")
-        lines = rest.split(b"\n")
-        tail = lines.pop()  # bytes after the last newline: a torn record
-        sealed, offset, crc = _sealed(data, lines, len(data) - len(tail))
-        bad = next((n for n, line in enumerate(lines[sealed:]) if not _intact(line)), None)
-        if bad is not None and sealed + bad == len(lines) - 1:
-            tail = lines.pop() + b"\n" + tail  # a torn final record
-        elif bad is not None:
-            raise ManagerError(f"{self.path}: line {sealed + bad + 2} fails its checksum")
-        self._end = len(data) - len(tail)
-        self._torn = bool(tail)
-        self._crc = zlib.crc32(memoryview(data)[offset:self._end], crc)
-        self._unparsed = [line for line in lines if line[_TAG] == _EXCHANGE]
-        # only the newest self record and the newest record per peer count,
-        # so only those are parsed; the dict keeps first-appearance order
-        latest = {}
-        others = [line for line in lines if line[_TAG] != _EXCHANGE]
-        for line in others:
-            tag, _, rest = line[9:].partition(b" ")
-            key, payload = rest.partition(b" ")[::2] if tag == b"peer" else (b"", rest)
-            latest[tag, key] = line, payload
-        self._superseded = len(others) - len(latest)
-        for (tag, key), (line, payload) in latest.items():
-            try:
-                if tag == b"self":
-                    own = _record(_SelfRecord, payload)
-                    self.self_identity, self.self_fingerprint = own.identity, own.fingerprint
-                elif tag == b"peer":
-                    record = _record(PeerRecord, payload, bytes.fromhex(key.decode()))
-                    self.peers[record.identity] = record
-                    self._saved_peers[record.identity] = dataclasses.replace(record)
-                elif tag != b"seal":
-                    raise ValueError(f"unknown record tag {tag!r}")
-            except (ValueError, TypeError) as exc:
-                raise self._malformed(line) from exc
+    def _create(self, identity: bytes) -> None:
+        self.self_identity = identity
+        # stands in for the fingerprint of the user's existing keypair
+        self.self_fingerprint = Fingerprint(secrets.token_bytes(20))
+        self._db.execute("PRAGMA journal_mode = WAL")
+        with self._db:
+            self._db.execute("BEGIN IMMEDIATE")
+            for statement in _SCHEMA:
+                self._db.execute(statement)
+            self._db.execute("INSERT INTO self VALUES (?)", (
+                _line("self", _SelfRecord(self.self_identity, self.self_fingerprint)),))
 
-    def _malformed(self, line: bytes) -> ManagerError:
-        number = self.path.read_bytes().split(b"\n").index(line) + 1
-        return ManagerError(f"{self.path}: line {number} is malformed")
+    def _load(self) -> None:
+        rows = self._db.execute("SELECT rowid, record FROM self").fetchall()
+        if len(rows) != 1:
+            raise ManagerError(f"{self.path}: {len(rows)} self rows")
+        own = self._parse("self", *rows[0], lambda line: _record(_SelfRecord, line, "self"))
+        self.self_identity, self.self_fingerprint = own.identity, own.fingerprint
+        for row in self._db.execute("SELECT rowid, identity, record FROM peers ORDER BY rowid"):
+            record = self._parse_peer(*row)
+            self.peers[record.identity] = record
+            self._saved_peers[record.identity] = dataclasses.replace(record)
+
+    def _parse_peer(self, rowid: int, identity: bytes, line: bytes) -> PeerRecord:
+        return self._parse("peers", rowid, line, lambda line: _record(
+            PeerRecord, line, f"peer {identity.hex()}", identity))
+
+    def _merge(self, record: PeerRecord) -> PeerRecord:
+        """The stored row with the fields this handle changed since its last save."""
+        saved = self._saved_peers.get(record.identity, PeerRecord(record.identity))
+        row = self._db.execute("SELECT rowid, * FROM peers WHERE identity = ?",
+                               (record.identity,)).fetchone()
+        stored = self._parse_peer(*row) if row else saved
+        merged = dataclasses.replace(stored, **{
+            name: getattr(record, name) for name, _, _ in _FIELDS[PeerRecord]
+            if getattr(record, name) != getattr(saved, name)})
+        if record.failed_attempts > saved.failed_attempts:  # concurrent charges add up
+            merged.failed_attempts = stored.failed_attempts + (
+                record.failed_attempts - saved.failed_attempts)
+        return merged
+
+    def _parse(self, table: str, rowid: int, line: bytes, parse):
+        """``parse(line)`` for an intact row; else a ManagerError naming only the row."""
+        if not _intact(line):
+            raise ManagerError(f"{self.path}: {table} row {rowid} fails its checksum")
+        try:
+            return parse(line)
+        except (ValueError, TypeError) as exc:
+            raise ManagerError(f"{self.path}: {table} row {rowid} is malformed") from exc
 
     @property
     def exchanges(self) -> list[ExchangeRecord]:
         """The exchange history, oldest first; append to it and save()."""
         with self._lock:
-            if self._unparsed:
-                parsed = []
-                try:
-                    for line in self._unparsed:
-                        parsed.append(_parse_exchange(line))
-                except (ValueError, TypeError) as exc:
-                    raise self._malformed(line) from exc
-                self._exchanges[:0] = parsed
-                self._saved += len(self._unparsed)
-                self._unparsed = []
+            if self._exchanges is None:
+                history = [self._parse("exchanges", rowid, line, _parse_exchange)
+                           for rowid, line in self._db.execute(
+                               "SELECT rowid, record FROM exchanges ORDER BY rowid")]
+                self._exchanges, self._saved = history + self._unread, len(history)
+                self._unread = []
             return self._exchanges
 
     def save(self) -> None:
         with self._lock:
-            changed = [identity for identity, record in self.peers.items()
+            changed = [record for identity, record in self.peers.items()
                        if record != self._saved_peers.get(identity)]
-            new = [_line("exchange", rec) for rec in self._exchanges[self._saved:]]
-            # an append supersedes the previous seal
-            superseded = self._superseded + 1 + sum(
-                identity in self._saved_peers for identity in changed)
-            live = 2 + len(self.peers) + len(self._unparsed) + len(self._exchanges)
-            if self._rewrite or superseded > live:
-                self._compact(new)
-                superseded = 0
-            elif changed or new:
-                records = [_peer_line(self.peers[identity]) for identity in changed]
-                self._append(b"\n".join(records + new) + b"\n")
-            else:
+            appended = self._exchanges[self._saved:] if self._exchanges is not None else []
+            new = self._unread + appended
+            if not (changed or new):
                 return
-            self._saved += len(new)
-            self._superseded = superseded
-            for identity in changed:
-                self._saved_peers[identity] = dataclasses.replace(self.peers[identity])
-
-    def _append(self, data: bytes) -> None:
-        # O_APPEND and one unbuffered write: an append from another process
-        # sharing this keystore lands whole, before or after this one
-        with open(self.path, "ab", buffering=0) as fh:
-            if self._torn:
-                fh.truncate(self._end)
-            self._torn = True  # until the whole append is on disk
-            crc = zlib.crc32(data, self._crc)
-            seal = _seal(crc)
-            fh.write(data + seal)
-            os.fsync(fh.fileno())
-            self._end = fh.tell()
-        self._torn = False
-        self._crc = zlib.crc32(seal, crc)
-
-    def _compact(self, new: list[bytes]) -> None:
-        """Write only live records to a fresh file and rename it into place."""
-        own = _SelfRecord(self.self_identity, self.self_fingerprint)
-        data = b"\n".join([KEYSTORE_HEADER.encode(), _line("self", own)]
-                         + [_peer_line(record) for record in self.peers.values()]
-                         + self._unparsed
-                         + [_line("exchange", rec) for rec in self._exchanges[:self._saved]]
-                         + new) + b"\n"
-        data += _seal(zlib.crc32(data))
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=".keystore-")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        _fsync_dir(self.path.parent)
-        self._end = len(data)
-        self._crc = zlib.crc32(data)
-        self._torn = False
-        self._rewrite = False
+            with self._db:  # commits, or rolls back if anything raises
+                self._db.execute("BEGIN IMMEDIATE")
+                merged = [self._merge(record) for record in changed]
+                self._db.executemany(
+                    "INSERT INTO peers VALUES (?, ?) ON CONFLICT (identity) "
+                    "DO UPDATE SET record = excluded.record",
+                    [(record.identity, _line(f"peer {record.identity.hex()}", record))
+                     for record in merged])
+                self._db.executemany("INSERT INTO exchanges VALUES (?)",
+                                     [(_line("exchange", record),) for record in new])
+            for record, stored in zip(changed, merged):
+                vars(record).update(vars(stored))  # in place: callers hold the record
+                self._saved_peers[record.identity] = stored
+            self._saved += len(appended)
+            self._unread = []
 
     def peer(self, identity: bytes) -> PeerRecord:
         identity = bytes(identity)
@@ -405,7 +329,7 @@ class Keystore:
 
     def record_exchange(self, record: ExchangeRecord) -> None:
         with self._lock:
-            self._exchanges.append(record)
+            (self._unread if self._exchanges is None else self._exchanges).append(record)
             self.save()
 
     def reset_attempts(self, identity: bytes) -> None:

@@ -68,8 +68,7 @@ def decode_frame(body: bytes) -> tuple[int, list[bytes]]:
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
+    chunks, remaining = [], n
     while remaining:
         chunk = sock.recv(remaining)
         if not chunk:

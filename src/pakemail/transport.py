@@ -234,11 +234,8 @@ def decode_email(raw: bytes) -> TransportEnvelope:
             fingerprint = Fingerprint(bytes.fromhex(fpr_header.strip()))
         except ValueError as exc:
             raise EnvelopeError(f"bad fingerprint header: {exc}") from exc
-    payload = None
-    for part in msg.walk():
-        if part.get_filename() == "pakemail.bin":
-            payload = part.get_payload(decode=True)
-            break
+    payload = next((part.get_payload(decode=True) for part in msg.walk()
+                    if part.get_filename() == "pakemail.bin"), None)
     if payload is None:
         raise EnvelopeError("missing pakemail.bin attachment")
     return TransportEnvelope(exchange_id, flow, sender, recipient, payload, fingerprint)

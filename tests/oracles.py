@@ -70,11 +70,13 @@ def toy_fig1(x: int, y: int, pi_a: int, pi_b: int,
 
 
 def hkdf96(sk: bytes, info: bytes = b"pakemail-confirm-v1") -> bytes:
-    """RFC 5869 HKDF-SHA256 via the cryptography library (independent route)."""
-    from cryptography.hazmat.primitives.hashes import SHA256
-    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-    return HKDF(algorithm=SHA256(), length=96, salt=None, info=info).derive(sk)
+    """RFC 5869 HKDF-SHA256 by hand: extract with a zero salt, then expand."""
+    prk = hmac.new(b"\x00" * 32, sk, hashlib.sha256).digest()
+    out = block = b""
+    for counter in range(1, 4):  # three 32-byte blocks
+        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        out += block
+    return out
 
 
 def mac_tag(key: bytes, fpr_a: bytes, fpr_b: bytes, sid: bytes) -> bytes:

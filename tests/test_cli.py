@@ -343,6 +343,14 @@ def test_every_command_reports_a_failure_alike(tmp_path, capsys, monkeypatch,
     assert len(closed) == 1
 
 
+def test_a_keystore_that_will_not_open_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_read_password", lambda: b"pw")
+    (tmp_path / "a@x.ks").mkdir()  # the database library cannot open a directory
+    assert main(_argv(tmp_path, "auth", "b@x")) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [["status"], ["send", "b@x", "hi"], ["recv", "--wait", "0"],
                                   ["renew", "b@x"], ["unlock", "b@x"]], ids=lambda a: a[0])
 def test_only_auth_creates_a_keystore(tmp_path, capsys, argv):

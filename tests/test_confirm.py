@@ -20,7 +20,7 @@ def test_fingerprint_length_enforced():
 
 
 def test_kdf_matches_library_hkdf():
-    # dual route: hand-rolled extract-then-expand vs the cryptography library
+    # dual route: the cryptography library vs hand-rolled extract-then-expand
     assert confirm._hkdf_96(SK) == oracles.hkdf96(SK)
 
 

@@ -1,11 +1,17 @@
 import dataclasses
 import logging
+import os
 import random
+import sqlite3
+import stat
+import subprocess
 import sys
 import threading
 import typing
 import zlib
 from collections import deque
+from contextlib import ExitStack, closing
+from pathlib import Path
 
 import oracles
 import pytest
@@ -14,7 +20,6 @@ from pakemail import manager, sealed
 from pakemail.confirm import Fingerprint
 from pakemail.exchange import Exchange
 from pakemail.manager import (
-    KEYSTORE_HEADER,
     AttemptPolicy,
     AuthResult,
     ExchangeRecord,
@@ -121,9 +126,20 @@ def _exchange(n: int, peer: bytes = IDB) -> ExchangeRecord:
                           ended_at=1.7e9 + n + 0.25)
 
 
-def _records(path) -> list[bytes]:
-    """The journal's record lines, header excluded."""
-    return path.read_bytes().split(b"\n")[1:-1]
+def _rows(path, query: str) -> list[tuple]:
+    """What ``query`` reads from the keystore database at ``path``, past the Keystore class."""
+    with closing(sqlite3.connect(path)) as db:
+        return db.execute(query).fetchall()
+
+
+def _sql(path):
+    """A connection of its own to the keystore database, each statement committed."""
+    return closing(sqlite3.connect(path, isolation_level=None))
+
+
+def _tables(path) -> dict[str, list[tuple]]:
+    return {table: _rows(path, f"SELECT * FROM {table} ORDER BY rowid")
+            for table in ("self", "peers", "exchanges")}
 
 
 def test_keystore_saves_in_place_mutation_and_direct_appends(tmp_path):
@@ -142,31 +158,28 @@ def test_keystore_saves_in_place_mutation_and_direct_appends(tmp_path):
     assert back.exchanges == [_exchange(1), _exchange(2)]
 
 
-def test_keystore_torn_tail_loads_a_prefix_and_heals(tmp_path):
+def test_keystore_a_failed_save_leaves_the_previous_state(tmp_path):
     path = tmp_path / "s.ks"
     ks = Keystore(path, IDA)
     ks.peer(IDB).failed_attempts = 1
-    ks.save()
-    start = path.stat().st_size
-    ks.peer(IDB).failed_attempts = 2
-    ks.save()
     ks.record_exchange(_exchange(1))
-    # the last four records: peer, seal, exchange, seal
-    full = path.read_bytes()
-    peer_end = full.index(b"\n", full.index(b'"failed_attempts": 2')) + 1
-    exchange_end = full.index(b"\n", full.index(b" exchange ")) + 1
-    for cut in range(start, len(full) + 1):
-        path.write_bytes(full[:cut])
-        torn = Keystore(path)
-        attempts = 2 if cut >= peer_end else 1
-        history = [_exchange(1)] if cut >= exchange_end else []
-        assert torn.peer(IDB).failed_attempts == attempts, cut
-        assert torn.exchanges == history, cut
-        torn.record_exchange(_exchange(2))
-        healed = Keystore(path)
-        assert healed.peer(IDB).failed_attempts == attempts, cut
-        assert healed.exchanges == history + [_exchange(2)], cut
-        assert path.read_bytes().endswith(b"\n")
+    before = _tables(path)
+    with _sql(path) as db:  # fails the save after its peer row is written
+        db.execute("CREATE TRIGGER refuse BEFORE INSERT ON exchanges "
+                   "BEGIN SELECT RAISE(ABORT, 'refused'); END")
+    ks.peer(IDB).failed_attempts = 2
+    with pytest.raises(sqlite3.IntegrityError, match="refused"):
+        ks.record_exchange(_exchange(2))
+    assert _tables(path) == before
+    back = Keystore(path)
+    assert back.peer(IDB).failed_attempts == 1
+    assert back.exchanges == [_exchange(1)]
+    with _sql(path) as db:
+        db.execute("DROP TRIGGER refuse")
+    ks.save()  # writes what the failed save did not
+    back = Keystore(path)
+    assert back.peer(IDB).failed_attempts == 2
+    assert back.exchanges == [_exchange(1), _exchange(2)]
 
 
 def test_keystore_appends_from_two_handles_both_survive(tmp_path):
@@ -182,20 +195,98 @@ def test_keystore_appends_from_two_handles_both_survive(tmp_path):
     assert back.peer(IDB).failed_attempts == 1
 
 
+# one child process: wait for "go" on stdin, then raise one peer's failed
+# attempts and record 50 exchanges, saving after each
+_CHILD = """
+import sys
+from pakemail.manager import ExchangeRecord, Keystore, Outcome
+from pakemail.pake import Role
+
+ks, side = Keystore(sys.argv[1]), int(sys.argv[2])
+print("ready", flush=True)
+sys.stdin.readline()
+for n in range(50):
+    if n == 25:
+        ks.peer(b"c@x").failed_attempts += 1
+    ks.record_exchange(ExchangeRecord(bytes([side, n]) * 8, b"b@x", Role.INITIATOR,
+                                      Outcome.SUCCESS, float(n), float(n)))
+"""
+
+
+def test_keystore_saves_from_two_processes_at_once_all_land(tmp_path):
+    path = tmp_path / "s.ks"
+    Keystore(path, IDA)
+    src = str(Path(manager.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    with ExitStack() as stack:
+        children = [stack.enter_context(subprocess.Popen(
+            [sys.executable, "-c", _CHILD, str(path), str(side)], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE)) for side in (0, 1)]
+        assert [child.stdout.readline() for child in children] == [b"ready\n"] * 2
+        for child in children:
+            child.stdin.write(b"go\n")
+            child.stdin.flush()
+        assert [child.wait(timeout=60) for child in children] == [0, 0]
+    back = Keystore(path)
+    assert sorted(e.exchange_id for e in back.exchanges) == sorted(
+        bytes([side, n]) * 8 for side in (0, 1) for n in range(50))
+    assert back.peers[b"c@x"].failed_attempts == 2
+
+
+def test_keystore_merges_concurrent_changes_to_one_peer(tmp_path):
+    path = tmp_path / "s.ks"
+    Keystore(path, IDA)
+    first, second = Keystore(path), Keystore(path)
+    first.peer(IDB).chained_key = b"\x01" * 32
+    first.peer(IDB).failed_attempts += 1
+    first.save()
+    second.peer(IDB).failed_attempts += 1  # second still holds no key
+    second.save()
+    assert second.peer(IDB) == PeerRecord(IDB, chained_key=b"\x01" * 32, failed_attempts=2)
+    first.peer(IDB).failed_attempts = 0  # an operator reset seen from the first handle
+    first.save()
+    assert Keystore(path).peer(IDB) == PeerRecord(IDB, chained_key=b"\x01" * 32)
+
+
+def test_keystore_files_are_readable_by_their_owner_only(tmp_path, toy):
+    old = os.umask(0o022)
+    try:
+        ma, mb = make_pair(tmp_path, toy)
+        assert run_both(ma, mb, b"pw", b"pw")[0].outcome is Outcome.SUCCESS
+        files = [path for path in tmp_path.iterdir() if path.name.startswith(("a.ks", "b.ks"))]
+        assert {"a.ks", "a.ks-wal", "a.ks-shm"} <= {path.name for path in files}
+        for path in files:
+            assert stat.S_IMODE(path.stat().st_mode) & 0o077 == 0, path.name
+    finally:
+        os.umask(old)
+
+
 def test_keystore_refuses_a_corrupt_middle_record(tmp_path):
     path = tmp_path / "s.ks"
     ks = Keystore(path, IDA)
     ks.peer(IDB).chained_key = bytes(range(32))
+    ks.peer(b"c@x")
     ks.save()
-    ks.record_exchange(_exchange(1))
-    lines = path.read_bytes().split(b"\n")
-    n = next(n for n, line in enumerate(lines) if line[8:14] == b" peer ")
-    assert n + 1 < len(lines) - 2  # records follow it
-    lines[n] = lines[n].replace(b'"failed_attempts": 0', b'"failed_attempts": 1')
-    path.write_bytes(b"\n".join(lines))
-    with pytest.raises(ManagerError, match=f"line {n + 1} ") as err:
+    for n in range(3):
+        ks.record_exchange(_exchange(n))
+    with _sql(path) as db:
+        for table, old, forged in (("peers", b'"failed_attempts": 0', b'"failed_attempts": 1'),
+                                   ("exchanges", b'"success"', b'"password_mismatch"')):
+            (line,), = db.execute(f"SELECT record FROM {table} WHERE rowid = 2")
+            db.execute(f"UPDATE {table} SET record = ? WHERE rowid = 2",
+                       (line.replace(old, forged),))
+    with pytest.raises(ManagerError, match="peers row 2 fails its checksum") as err:
         Keystore(path)
     assert bytes(range(32)).hex() not in str(err.value)
+    with _sql(path) as db:
+        db.execute("DELETE FROM peers WHERE rowid = 2")
+    ks = Keystore(path)  # the history is checked when first read
+    with pytest.raises(ManagerError, match="exchanges row 2 fails its checksum"):
+        ks.exchanges
+    with _sql(path) as db:  # an intact record, under another peer's key
+        db.execute("UPDATE peers SET identity = ? WHERE rowid = 1", (b"c@x",))
+    with pytest.raises(ManagerError, match="peers row 1 is malformed"):
+        Keystore(path)
 
 
 def test_keystore_v1_file_is_refused_and_left_alone(tmp_path):
@@ -207,44 +298,92 @@ def test_keystore_v1_file_is_refused_and_left_alone(tmp_path):
         '"chained_key": "%s", "failed_attempts": 1}' % (IDB.hex(), "11" * 32),
     ]) + "\n"
     path.write_text(v1)
-    with pytest.raises(ManagerError, match="not a pakemail-keystore v2 file"):
+    with pytest.raises(ManagerError, match="not a pakemail-keystore v3 file"):
         Keystore(path, IDA)
     assert path.read_text() == v1
 
 
-def test_keystore_append_size_does_not_grow_with_history(tmp_path):
-    grown = []
-    for history in (10, 5000):
-        path = tmp_path / f"{history}.ks"
-        ks = Keystore(path, IDA)
-        ks.exchanges.extend(_exchange(n) for n in range(history))
-        ks.save()
-        ks = Keystore(path)
-        before, inode = path.read_bytes(), path.stat().st_ino
-        ks.peer(IDB).failed_attempts = 1
-        ks.record_exchange(_exchange(history))
-        # appended in place: same file, old bytes untouched
-        assert path.stat().st_ino == inode
-        assert path.read_bytes().startswith(before)
-        grown.append(path.stat().st_size - len(before))
-    # one peer record and one exchange record, whatever the history length
-    assert grown[0] == grown[1] < 400
+# a v2 keystore journal, byte for byte: header, self, seal, a peer with every
+# field set, a peer with every field at its default, an exchange, seal
+KNOWN_JOURNAL = b"\n".join([
+    b'pakemail-keystore v2',
+    b'89f14e66 self {"identity": "614078", "fingerprint": '
+    b'"000102030405060708090a0b0c0d0e0f10111213"}',
+    b'83f27baa seal 71530fb8',
+    b'3462ecc7 peer 624078 {"fingerprint": "6465666768696a6b6c6d6e6f7071727374757677", '
+    b'"authenticated": true, "chained_key": '
+    b'"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", '
+    b'"failed_attempts": 2}',
+    b'56b6bb77 peer 634078 {"fingerprint": null, "authenticated": false, '
+    b'"chained_key": null, "failed_attempts": 0}',
+    b'10bfd79f exchange {"exchange_id": "00000000000000000000000000000001", '
+    b'"peer": "624078", "role": "initiator", "outcome": "success", '
+    b'"started_at": 1700000001.0, "ended_at": 1700000001.25}',
+    b'57a1bc77 seal fa28a003',
+]) + b"\n"
 
 
-def test_keystore_compacts_superseded_records(tmp_path):
+def test_keystore_v2_journal_and_foreign_databases_are_refused_and_left_alone(tmp_path):
+    journal = tmp_path / "v2.ks"
+    journal.write_bytes(KNOWN_JOURNAL)
+    foreign = tmp_path / "other.db"
+    with _sql(foreign) as db:
+        db.execute("CREATE TABLE self (record BLOB NOT NULL)")
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    for path in files:
+        for identity in (None, IDA):
+            with pytest.raises(ManagerError, match="not a pakemail-keystore v3 file"):
+                Keystore(path, identity)
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
+def test_keystore_an_empty_database_is_filled_only_with_an_identity(tmp_path):
+    # what a crash while a keystore is created leaves behind
+    path = tmp_path / "s.ks"
+    path.write_bytes(b"")
+    with pytest.raises(ManagerError, match="not a pakemail-keystore v3 file"):
+        Keystore(path)
+    Keystore(path, IDA)
+    assert Keystore(path).self_identity == IDA
+
+
+def test_keystore_open_and_record_exchange_read_no_history(tmp_path, monkeypatch):
+    path = tmp_path / "s.ks"
+    ks = Keystore(path, IDA)
+    ks.exchanges.extend(_exchange(n) for n in range(5000))
+    ks.save()
+    statements = []
+    connect = sqlite3.connect
+
+    def traced(*args, **kwargs):
+        db = connect(*args, **kwargs)
+        db.set_trace_callback(statements.append)
+        return db
+
+    monkeypatch.setattr(manager.sqlite3, "connect", traced)
+    ks = Keystore(path)
+    ks.peer(IDB).failed_attempts = 1
+    ks.record_exchange(_exchange(5000))
+    monkeypatch.undo()
+    assert any(s.startswith("INSERT INTO exchanges") for s in statements)
+    assert [s for s in statements if "SELECT" in s.upper() and "exchanges" in s] == []
+    assert ks._unread == []  # nor is the new record kept
+    back = Keystore(path).exchanges
+    assert len(back) == 5001 and back[-1] == _exchange(5000)
+
+
+def test_keystore_keeps_one_row_per_peer(tmp_path):
     path = tmp_path / "s.ks"
     ks = Keystore(path, IDA)
     ks.exchanges.extend(_exchange(n) for n in range(3))
     ks.save()
-    ks = Keystore(path)  # the history stays unparsed through compactions
-    for attempts in range(1, 50):
+    ks = Keystore(path)
+    for attempts in range(1, 51):
         ks.peer(IDB).failed_attempts = attempts
         ks.save()
-        # live records: self, the newest seal, one peer and three
-        # exchanges; superseded records never outnumber them
-        assert len(_records(path)) <= 2 * 6
+    assert _rows(path, "SELECT identity FROM peers") == [(IDB,)]
     back = Keystore(path)
-    assert back.peer(IDB).failed_attempts == 49
+    assert back.peer(IDB).failed_attempts == 50
     assert back.exchanges == [_exchange(n) for n in range(3)]
 
 
@@ -265,27 +404,25 @@ def test_record_exchange_leaves_the_history_unparsed(tmp_path, monkeypatch):
     assert Keystore(path).exchanges == [_exchange(n) for n in range(4)]
 
 
-# a fixed keystore's journal, byte for byte: header, self, seal, a peer with
-# every field set, a peer with every field at its default, an exchange, seal
-KNOWN_JOURNAL = b"\n".join([
-    b'pakemail-keystore v2',
-    b'89f14e66 self {"identity": "614078", "fingerprint": '
-    b'"000102030405060708090a0b0c0d0e0f10111213"}',
-    b'83f27baa seal 71530fb8',
-    b'3462ecc7 peer 624078 {"fingerprint": "6465666768696a6b6c6d6e6f7071727374757677", '
-    b'"authenticated": true, "chained_key": '
-    b'"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f", '
-    b'"failed_attempts": 2}',
-    b'56b6bb77 peer 634078 {"fingerprint": null, "authenticated": false, '
-    b'"chained_key": null, "failed_attempts": 0}',
-    b'10bfd79f exchange {"exchange_id": "00000000000000000000000000000001", '
-    b'"peer": "624078", "role": "initiator", "outcome": "success", '
-    b'"started_at": 1700000001.0, "ended_at": 1700000001.25}',
-    b'57a1bc77 seal fa28a003',
-]) + b"\n"
+# the rows of a fixed keystore, byte for byte: self, a peer with every field
+# set, a peer with every field at its default, an exchange
+KNOWN_ROWS = {
+    "self": [(b'89f14e66 self {"identity": "614078", "fingerprint": '
+              b'"000102030405060708090a0b0c0d0e0f10111213"}',)],
+    "peers": [
+        (IDB, b'3462ecc7 peer 624078 {"fingerprint": '
+              b'"6465666768696a6b6c6d6e6f7071727374757677", "authenticated": true, '
+              b'"chained_key": "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"'
+              b', "failed_attempts": 2}'),
+        (b"c@x", b'56b6bb77 peer 634078 {"fingerprint": null, "authenticated": false, '
+                 b'"chained_key": null, "failed_attempts": 0}')],
+    "exchanges": [(b'10bfd79f exchange {"exchange_id": "00000000000000000000000000000001", '
+                   b'"peer": "624078", "role": "initiator", "outcome": "success", '
+                   b'"started_at": 1700000001.0, "ended_at": 1700000001.25}',)],
+}
 
 
-def test_keystore_journal_known_answer(tmp_path, monkeypatch):
+def test_keystore_rows_known_answer(tmp_path, monkeypatch):
     monkeypatch.setattr(manager.secrets, "token_bytes", lambda n: bytes(range(n)))
     path = tmp_path / "s.ks"
     ks = Keystore(path, IDA)
@@ -294,9 +431,15 @@ def test_keystore_journal_known_answer(tmp_path, monkeypatch):
     full.authenticated, full.chained_key, full.failed_attempts = True, bytes(range(32)), 2
     ks.peer(b"c@x")
     ks.record_exchange(_exchange(1))
-    assert path.read_bytes() == KNOWN_JOURNAL
+    assert _tables(path) == KNOWN_ROWS
+    assert _rows(path, "SELECT * FROM pragma_application_id, pragma_user_version") == [
+        (0x706B6D6C, 3)]
+    # and the same rows written by hand load as that keystore
     copy = tmp_path / "copy.ks"
-    copy.write_bytes(KNOWN_JOURNAL)
+    Keystore(copy, IDA)
+    with _sql(copy) as db:
+        db.executemany("INSERT INTO peers VALUES (?, ?)", KNOWN_ROWS["peers"])
+        db.executemany("INSERT INTO exchanges VALUES (?)", KNOWN_ROWS["exchanges"])
     back = Keystore(copy)
     assert (back.self_identity, back.self_fingerprint) == (IDA, Fingerprint(bytes(range(20))))
     assert back.peers == ks.peers
@@ -322,12 +465,13 @@ def test_keystore_saves_a_change_to_any_one_peer_field(tmp_path, name):
     ks = Keystore(path, IDA)
     ks.peer(IDB)
     ks.save()
-    before = len(_records(path))
+    before = _rows(path, "SELECT * FROM peers")
     value = _sample(PeerRecord, name)
     assert getattr(ks.peer(IDB), name) != value
     setattr(ks.peer(IDB), name, value)
     ks.save()
-    assert [line[9:14] for line in _records(path)[before:]] == [b"peer ", b"seal "]
+    after = _rows(path, "SELECT * FROM peers")
+    assert [identity for identity, _ in after] == [IDB] and after != before
     assert getattr(Keystore(path).peers[IDB], name) == value
 
 
@@ -340,19 +484,16 @@ def test_keystore_round_trips_any_exchange_field(tmp_path, name):
     assert Keystore(path).exchanges == [record]
 
 
-def _journal(*records: bytes) -> bytes:
-    """A journal of hand-written records, each behind its checksum, no seal."""
-    return b"\n".join([KEYSTORE_HEADER.encode()] + [
-        b"%08x %s" % (zlib.crc32(b" " + record), record) for record in records]) + b"\n"
-
-
-_SELF = b'self {"identity": "614078", "fingerprint": "%s"}' % (b"00" * 20)
+def _checksummed(record: bytes) -> bytes:
+    return b"%08x %s" % (zlib.crc32(b" " + record), record)
 
 
 def test_keystore_a_missing_key_takes_the_field_default(tmp_path):
     path = tmp_path / "s.ks"
-    path.write_bytes(_journal(_SELF, b'peer 624078 {"fingerprint": null, '
-                                     b'"authenticated": true, "chained_key": null}'))
+    Keystore(path, IDA)
+    with _sql(path) as db:
+        db.execute("INSERT INTO peers VALUES (?, ?)", (IDB, _checksummed(
+            b'peer 624078 {"fingerprint": null, "authenticated": true, "chained_key": null}')))
     record = Keystore(path).peers[IDB]
     assert record.authenticated is True
     assert record.failed_attempts == 0
@@ -360,11 +501,13 @@ def test_keystore_a_missing_key_takes_the_field_default(tmp_path):
 
 def test_keystore_refuses_an_exchange_without_an_outcome(tmp_path):
     path = tmp_path / "s.ks"
-    path.write_bytes(_journal(_SELF, b'exchange {"exchange_id": "%s", "peer": "624078", '
-                                     b'"role": "initiator", "started_at": 1.0, '
-                                     b'"ended_at": 2.0}' % (b"00" * 16)))
+    Keystore(path, IDA)
+    with _sql(path) as db:
+        db.execute("INSERT INTO exchanges VALUES (?)", (_checksummed(
+            b'exchange {"exchange_id": "%s", "peer": "624078", "role": "initiator", '
+            b'"started_at": 1.0, "ended_at": 2.0}' % (b"00" * 16)),))
     ks = Keystore(path)  # the history is parsed when first read
-    with pytest.raises(ManagerError, match="line 3 is malformed"):
+    with pytest.raises(ManagerError, match="exchanges row 1 is malformed"):
         ks.exchanges
 
 
@@ -644,7 +787,7 @@ def test_unknown_senders_do_not_grow_the_keystore(tmp_path, toy):
     backend = LoopbackTransport()
     _, mb = make_pair(tmp_path, toy, backend=backend)
     peers = dict(mb.keystore.peers)
-    size = (tmp_path / "b.ks").stat().st_size
+    rows = _tables(tmp_path / "b.ks")
     for n in range(1000):
         backend.send(TransportEnvelope(fresh_exchange_id(), FLOW_DATA, b"stranger%d@x" % n,
                                        IDB, b"junk"))
@@ -656,7 +799,7 @@ def test_unknown_senders_do_not_grow_the_keystore(tmp_path, toy):
         mb.reauthenticate_chained(b"typo2@x")
     mb.keystore.save()
     assert mb.keystore.peers == peers
-    assert (tmp_path / "b.ks").stat().st_size == size
+    assert _tables(tmp_path / "b.ks") == rows
     # an authenticate does add its peer, even when it times out
     assert mb.authenticate(b"late@x", b"pw", timeout=0).outcome is Outcome.ABORTED_BY_TIMEOUT
     assert set(Keystore(tmp_path / "b.ks").peers) == set(peers) | {b"late@x"}
@@ -719,8 +862,11 @@ def test_password_never_written_anywhere(tmp_path, toy):
     assert ra.outcome is Outcome.SUCCESS
     for env in captured:
         assert secret not in env.to_bytes()
-    for store in (tmp_path / "a.ks", tmp_path / "b.ks"):
-        blob = store.read_bytes()
+    # every file: a keystore's saves land in its write-ahead log first
+    files = [path for path in tmp_path.rglob("*") if path.is_file()]
+    assert {"a.ks", "a.ks-wal", "b.ks", "b.ks-wal"} <= {path.name for path in files}
+    for path in files:
+        blob = path.read_bytes()
         assert secret not in blob
         assert secret.hex().encode() not in blob
 
