@@ -8,16 +8,20 @@ privacy rests entirely on the protocol transcript leaking nothing.
 Wire format: each frame is one length-prefixed field (see :mod:`.wire`)
 holding a 1-byte opcode followed by the packed fields of the request.
 
-    PUT recipient, blob          -> OK
-    GET recipient[, timeout]     -> LIST id1, blob1, id2, blob2, ...
-    ACK recipient, id1, id2, ... -> OK   (acknowledged blobs are removed)
+    PUT recipient, blob                    -> OK
+    GET recipient[, timeout[, id1, ...]]   -> LIST id1, blob1, id2, blob2, ...
+    ACK recipient, id1, id2, ...           -> OK   (acknowledged blobs are removed)
 
 GET lists the oldest blobs whose LIST frame fits in ``MAX_FRAME`` (always
 at least one), so a large backlog drains over several GETs; a PUT whose
 blob could not fit in a LIST on its own is refused. While the mailbox is
 empty, a GET blocks until mail arrives or its timeout (4-byte big-endian
-milliseconds, 0 when absent, at most ``MAX_WAIT_MS``) passes. GET changes
-nothing and is never logged.
+milliseconds, 0 when absent, at most ``MAX_WAIT_MS``) passes. A GET that
+carries ids first acknowledges them exactly as ``ACK recipient, id...``
+does, logged as that ACK frame, and then lists; so a client acknowledges
+what it took with its next GET instead of a round trip of its own. A GET
+without ids changes nothing and is never logged. The log holds only PUT
+and ACK frames.
 
 A connection carries any number of requests, one reply each, until the
 client closes it or the server stops. A malformed frame gets an ERR reply
@@ -87,10 +91,10 @@ class MailboxStore:
     """Per-recipient queues of opaque blobs, optionally persisted.
 
     Persistence is an append-only log of PUT/ACK frames, each appended before
-    it is applied and replayed at startup; the store never looks inside a
-    blob. Replay skips a frame that does not apply or is not a PUT or ACK; a
-    torn frame at the end (a crash or a failed append) is cut off before the
-    next append.
+    it is applied and replayed at startup; a GET's ids are logged as an ACK
+    frame. The store never looks inside a blob. Replay skips a frame that
+    does not apply or is not a PUT or ACK; a torn frame at the end (a crash
+    or a failed append) is cut off before the next append.
     """
 
     def __init__(self, log_path=None) -> None:
@@ -194,9 +198,11 @@ class MailboxStore:
             self.put(fields[0], fields[1])
             return encode_frame(OP_OK, [])
         if opcode == OP_GET:
-            ms = fields[1] if len(fields) == 2 else bytes(4)
-            if len(fields) not in (1, 2) or len(ms) != 4:
-                raise FrameError("GET expects a recipient and an optional 4-byte timeout")
+            ms = fields[1] if len(fields) >= 2 else bytes(4)
+            if not fields or len(ms) != 4:
+                raise FrameError("GET expects a recipient, then a 4-byte timeout before any ids")
+            if len(fields) > 2:
+                self.ack(fields[0], fields[2:])
             pairs = self.get(fields[0], min(int.from_bytes(ms, "big"), MAX_WAIT_MS) / 1000)
             return encode_frame(OP_LIST, [x for pair in pairs for x in pair])
         if opcode == OP_ACK:

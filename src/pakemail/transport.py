@@ -33,6 +33,7 @@ import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,7 +134,10 @@ class TransportBackend:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release a connection kept between calls; most backends keep none."""
+        """Release a connection kept between calls; most backends keep none.
+
+        The relay client first acknowledges the mail its last polls took.
+        """
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +411,22 @@ class ImapSmtpTransport(TransportBackend):
 # ---------------------------------------------------------------------------
 
 class RelayTransport(TransportBackend):
-    """Client for the store-and-forward relay: PUT on send, GET then ACK on poll.
+    """Client for the store-and-forward relay: PUT on send, GET on poll.
+
+    A poll acknowledges the blobs it took with the next GET for the same
+    recipient, not with an ACK of its own, so a poll that gets mail is one
+    round trip; ``close()`` acknowledges what is still pending. A client that
+    exits without ``close()`` leaves the blobs of its last poll in the relay,
+    and they are delivered again to the next client.
 
     One connection, opened on first use, carries every request; a lock keeps
     requests from interleaving on it. If the relay closed a connection that
     served earlier requests, the request is sent once more on a fresh one: a
     PUT may then be stored twice, which the session layer drops as a
-    duplicate. Any other failure closes the connection.
+    duplicate. Any other failure closes the connection. Blob ids are only
+    acknowledged on the connection that listed them, since a relay restarted
+    from a cut log numbers its blobs anew: when a connection closes, its
+    pending ids are forgotten and the relay lists those blobs again.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 5.0) -> None:
@@ -422,55 +435,82 @@ class RelayTransport(TransportBackend):
         self.timeout = timeout
         self._sock: socket.socket | None = None
         self._lock = threading.Lock()
+        # per recipient, the ids listed on this connection and not yet acknowledged
+        self._pending: dict[bytes, list[bytes]] = {}
 
     def close(self) -> None:
         with self._lock:
+            try:
+                for recipient, blob_ids in self._pending.items():
+                    self._sock.sendall(relay.encode_frame(relay.OP_ACK, [recipient, *blob_ids]))
+                    relay.read_frame(self._sock)
+            except (OSError, relay.FrameError) as exc:  # the relay lists them again
+                logger.warning("relay ACK on close failed: %s", exc)
             self._drop()
 
     def _drop(self) -> None:
+        self._pending.clear()
         if self._sock is not None:
             self._sock.close()
             self._sock = None
 
-    def _request(self, frame: bytes) -> tuple[int, list[bytes]]:
-        if self._sock is not None:
-            try:
-                self._sock.sendall(frame)
-                return relay.read_frame(self._sock)
-            except ConnectionError:  # the relay closed the kept connection
-                self._drop()
-        self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        self._sock.sendall(frame)
-        return relay.read_frame(self._sock)
+    def _roundtrip(self, frame: Callable[[], bytes]) -> tuple[int, list[bytes]]:
+        """Send ``frame()`` and read the reply; the caller holds the lock.
 
-    def _roundtrip(self, frame: bytes) -> tuple[int, list[bytes]]:
-        with self._lock:
-            try:
-                opcode, fields = self._request(frame)
-            except (OSError, relay.FrameError) as exc:
-                self._drop()  # the stream's state is unknown
-                raise TransportError(f"relay unreachable: {exc}") from exc
+        ``frame`` is called again for a fresh connection, after the closed
+        one's pending ids are forgotten.
+        """
+        try:
+            if self._sock is not None:
+                try:
+                    self._sock.sendall(frame())
+                    return relay.read_frame(self._sock)
+                except ConnectionError:  # the relay closed the kept connection
+                    self._drop()
+            self._sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
+            self._sock.sendall(frame())
+            return relay.read_frame(self._sock)
+        except (OSError, relay.FrameError) as exc:
+            self._drop()  # the stream's state is unknown
+            raise TransportError(f"relay unreachable: {exc}") from exc
+
+    @staticmethod
+    def _check(opcode: int, fields: list[bytes], expected: int) -> None:
         if opcode == relay.OP_ERR:
             raise TransportError(f"relay error: {fields[0].decode(errors='replace')}")
-        return opcode, fields
+        if opcode != expected:
+            raise TransportError(f"unexpected relay reply opcode {opcode}")
 
     def send(self, envelope: TransportEnvelope) -> None:
         frame = relay.encode_frame(relay.OP_PUT, [envelope.recipient, envelope.to_bytes()])
-        opcode, _ = self._roundtrip(frame)
-        if opcode != relay.OP_OK:
-            raise TransportError(f"unexpected relay reply opcode {opcode}")
+        with self._lock:
+            opcode, fields = self._roundtrip(lambda: frame)
+        self._check(opcode, fields, relay.OP_OK)
 
     def poll(self, recipient: bytes, timeout: float = 0.0) -> list[TransportEnvelope]:
         """GET the recipient's mail, blocking in the relay while there is none.
 
-        A blocking GET holds the connection, so other requests on this client
+        The GET acknowledges what the last poll for ``recipient`` took. A
+        blocking GET holds the connection, so other requests on this client
         queue behind it. It ends early at the relay's cap or half the socket
         timeout.
         """
         seconds = min(timeout, relay.MAX_WAIT_MS / 1000, (self.timeout or math.inf) / 2)
         ms = math.ceil(max(seconds, 0) * 1000).to_bytes(4, "big")
-        opcode, fields = self._roundtrip(relay.encode_frame(relay.OP_GET, [recipient, ms]))
-        if opcode != relay.OP_LIST or len(fields) % 2:
+        acked: list[bytes] = []
+
+        def get() -> bytes:
+            acked[:] = self._pending.pop(recipient, [])
+            return relay.encode_frame(relay.OP_GET, [recipient, ms, *acked])
+
+        with self._lock:
+            opcode, fields = self._roundtrip(get)
+            if opcode == relay.OP_ERR and acked:  # nothing was applied
+                self._pending[recipient] = acked
+            elif opcode == relay.OP_LIST and fields and not len(fields) % 2:
+                self._pending[recipient] = fields[::2]  # malformed blobs are acknowledged too
+        self._check(opcode, fields, relay.OP_LIST)
+        if len(fields) % 2:
             raise TransportError("malformed relay LIST reply")
         envelopes = []
         for blob in fields[1::2]:
@@ -478,6 +518,4 @@ class RelayTransport(TransportBackend):
                 envelopes.append(TransportEnvelope.from_bytes(blob))
             except EnvelopeError as exc:
                 logger.warning("skipping malformed relay blob: %s", exc)
-        if fields:  # malformed blobs are acknowledged too
-            self._roundtrip(relay.encode_frame(relay.OP_ACK, [recipient, *fields[::2]]))
         return envelopes

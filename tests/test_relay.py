@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import socket
+import sys
 import threading
 from pathlib import Path
 
@@ -51,6 +52,9 @@ KNOWN_FRAMES = [
     (OP_ERR, [b"no"], "00000007" "04" "000000026e6f"),
     (OP_LIST, [bytes(8), b"blob"], "00000015" "05" "000000080000000000000000" "00000004626c6f62"),
     (OP_GET, [b"bob", (5).to_bytes(4, "big")], "00000010" "01" "00000003626f62" "0000000400000005"),
+    # a GET that acknowledges id 1 before it lists
+    (OP_GET, [b"bob", (5).to_bytes(4, "big"), (1).to_bytes(8, "big")],
+     "0000001c" "01" "00000003626f62" "0000000400000005" "000000080000000000000001"),
 ]
 
 
@@ -203,6 +207,9 @@ def test_failed_log_append_answers_err_and_stores_nothing(tmp_path):
             assert _rpc(sock, OP_PUT, [b"bob", b"lost too"])[0] == OP_ERR
             # the handler survived: the same connection still answers
             assert _rpc(sock, OP_GET, [b"bob"]) == (OP_LIST, [])
+            # a GET whose ACK cannot be logged acknowledges nothing
+            assert _rpc(sock, OP_GET, [b"b@x", bytes(4), bytes(8)])[0] == OP_ERR
+            assert _blobs(store, b"b@x") == [b"kept"]
             store._log = store._log.real
             assert _rpc(sock, OP_PUT, [b"bob", b"stored"]) == (OP_OK, [])
     reborn = MailboxStore(log)
@@ -248,6 +255,11 @@ def test_server_survives_malformed_frames():
         sock.sendall((0).to_bytes(4, "big"))
         op, _ = read_frame(sock)
         assert op == OP_ERR
+        # a GET with ids whose timeout is not 4 bytes acknowledges nothing
+        assert _rpc(sock, OP_PUT, [b"bob", b"kept"]) == (OP_OK, [])
+        op, _ = _rpc(sock, OP_GET, [b"bob", bytes(2), bytes(8)])
+        assert op == OP_ERR
+        assert _rpc(sock, OP_GET, [b"bob"]) == (OP_LIST, [bytes(8), b"kept"])
         # the same connection still works afterwards
         assert _rpc(sock, OP_PUT, [b"bob", b"still alive"]) == (OP_OK, [])
 
@@ -299,8 +311,113 @@ def test_relay_client_replaces_a_dropped_connection():
         assert client.poll(b"b@x", 0.01) == []
         client.send(_envelope(2))
         assert client.poll(b"b@x") == [_envelope(2)]
+        client.close()
         assert _blobs(second.store, b"b@x") == []
-    client.close()
+
+
+def test_relay_client_acknowledges_with_its_next_get(monkeypatch):
+    applied = []
+    apply = MailboxStore.apply
+
+    def counting(self, opcode, fields):
+        applied.append((opcode, fields))
+        return apply(self, opcode, fields)
+
+    monkeypatch.setattr(MailboxStore, "apply", counting)
+    with RelayServer() as srv:
+        client = RelayTransport(*srv.address)
+        assert client.poll(b"b@x") == []
+        for n in range(3):
+            client.send(_envelope(n))
+        ids = [blob_id for blob_id, _ in srv.store.get(b"b@x")]
+        applied.clear()
+        assert client.poll(b"b@x") == [_envelope(n) for n in range(3)]
+        assert [opcode for opcode, _ in applied] == [OP_GET]  # one request, no ACK
+        assert applied[0][1][2:] == []
+        applied.clear()
+        assert client.poll(b"b@x") == []
+        assert applied == [(OP_GET, [b"b@x", bytes(4), *ids])]  # the next GET acknowledges them
+        assert srv.store.get(b"b@x") == []
+        applied.clear()
+        client.close()  # nothing pending: no ACK
+        assert applied == []
+
+        client.send(_envelope(3))
+        (blob_id, _), = srv.store.get(b"b@x")
+        assert client.poll(b"b@x") == [_envelope(3)]
+        applied.clear()
+        client.close()
+        assert applied == [(OP_ACK, [b"b@x", blob_id])]
+        assert srv.store.get(b"b@x") == []
+
+
+def test_relay_client_threads_sharing_one_client_take_each_blob_once():
+    # six threads poll three mailboxes through one client: a pending id lost
+    # or acknowledged twice would leave a blob behind or deliver it again
+    recipients = [b"r%d@x" % i for i in range(3)]
+    sent = {r: {TransportEnvelope(n.to_bytes(16, "big"), 9, b"a@x", r, b"%d" % n)
+                for n in range(40)} for r in recipients}
+    got = {r: [] for r in recipients}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with RelayServer() as srv:
+            client = RelayTransport(*srv.address)
+
+            def worker(recipient, envelopes):
+                for envelope in envelopes:
+                    client.send(envelope)
+                    got[recipient].extend(client.poll(recipient))
+
+            halves = [(r, sorted(sent[r], key=lambda e: e.payload)[half::2])
+                      for r in recipients for half in range(2)]
+            threads = [threading.Thread(target=worker, args=half) for half in halves]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+            for r in recipients:
+                got[r].extend(client.poll(r))
+            client.close()
+            assert all(srv.store.get(r) == [] for r in recipients)
+    finally:
+        sys.setswitchinterval(switch)
+    for r in recipients:
+        assert len(got[r]) == len(sent[r])
+        assert set(got[r]) == sent[r]
+
+
+def test_relay_client_keeps_ids_a_failed_get_did_not_acknowledge(tmp_path):
+    store = MailboxStore(tmp_path / "relay.log")
+    store.put(b"b@x", _envelope(1).to_bytes())
+    with RelayServer(store=store) as srv:
+        client = RelayTransport(*srv.address)
+        assert client.poll(b"b@x") == [_envelope(1)]
+        store._log = _FailingLog(store._log)
+        with pytest.raises(TransportError, match="relay error"):
+            client.poll(b"b@x")
+        store._log = store._log.real
+        assert client.poll(b"b@x") == []  # the retry acknowledged the kept id
+        assert _blobs(store, b"b@x") == []
+        client.close()
+
+
+def test_relay_client_forgets_ids_when_its_connection_is_replaced():
+    # blob ids count within one relay process: a restarted relay hands out
+    # id 0 again, which a stale acknowledgement would delete unread
+    first = RelayServer().start()
+    host, port = first.address
+    client = RelayTransport(host, port)
+    client.send(_envelope(1))
+    assert client.poll(b"b@x") == [_envelope(1)]  # lists id 0, acknowledged by no GET yet
+    first.stop()
+    with RelayServer((host, port)) as second:
+        assert second.store.put(b"b@x", _envelope(2).to_bytes()) == bytes(8)
+        assert client.poll(b"b@x") == [_envelope(2)]
+        assert _blobs(second.store, b"b@x") == [_envelope(2).to_bytes()]
+        client.close()
+        assert _blobs(second.store, b"b@x") == []
 
 
 def test_stopped_relay_refuses_the_next_request(tmp_path):
